@@ -9,12 +9,22 @@
 //! scan's phase 1 under the same median bound: the low-precision bounded
 //! kernel against the certified prune threshold — the per-row cost that
 //! replaces a full f64 evaluation for every row the tier proves away.
+//!
+//! The `mindist` group measures the directory layer: one MINDIST per entry
+//! of 10 000 directory entries, packed into page-sized nodes that are
+//! visited in shuffled order the way a descent jumps between them. The
+//! `d<dim>` rows sweep each node's contiguous bounds slab
+//! (`InnerEntries::min_dists2`); the `d<dim>_boxed_rect` rows evaluate the
+//! same entries as one heap-allocated `HyperRect` each, the directory
+//! layout before the slab. ns per entry = ms/iter × 100.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use parsim_datagen::{DataGenerator, UniformGenerator};
-use parsim_geometry::kernel;
+use parsim_geometry::{kernel, HyperRect};
+use parsim_index::node::{InnerEntries, NodeId};
+use parsim_index::{TreeParams, TreeVariant};
 
 fn naive_dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
@@ -168,5 +178,57 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels);
+fn bench_mindist(c: &mut Criterion) {
+    const ENTRIES: usize = 10_000;
+    let mut group = c.benchmark_group("mindist");
+    for dim in [16usize, 32, 48] {
+        let per_node = TreeParams::for_dim(dim, TreeVariant::xtree_default())
+            .expect("supported dimension")
+            .inner_capacity;
+        // Each rectangle spans two uniform points, like a directory MBR
+        // that covers most of the space on most axes.
+        let corners = UniformGenerator::new(dim).generate(2 * ENTRIES, 3);
+        let rects: Vec<HyperRect> = corners
+            .chunks_exact(2)
+            .map(|pair| HyperRect::from_point(&pair[0]).union(&HyperRect::from_point(&pair[1])))
+            .collect();
+        let query = UniformGenerator::new(dim).generate(1, 4).remove(0);
+
+        let boxed: Vec<&[HyperRect]> = rects.chunks(per_node).collect();
+        let slabs: Vec<InnerEntries> = boxed
+            .iter()
+            .map(|node| InnerEntries::from_rects(dim, node.iter().map(|r| (r.clone(), NodeId(0)))))
+            .collect();
+        // A fixed pseudo-random visiting order (multiplicative hash of the
+        // node number), so successive visits land on unrelated nodes.
+        let mut order: Vec<usize> = (0..slabs.len()).collect();
+        order.sort_by_key(|&i| (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+
+        group.bench_function(&format!("d{dim}"), |b| {
+            b.iter(|| {
+                let mut acc = 0.0;
+                for &node in &order {
+                    for d in slabs[node].min_dists2(black_box(query.coords())) {
+                        acc += d;
+                    }
+                }
+                acc
+            })
+        });
+        group.bench_function(&format!("d{dim}_boxed_rect"), |b| {
+            b.iter(|| {
+                let mut acc = 0.0;
+                for &node in &order {
+                    for r in boxed[node] {
+                        acc += r.min_dist2(black_box(&query));
+                    }
+                }
+                acc
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_kernels, bench_mindist);
 criterion_main!(benches);

@@ -66,6 +66,19 @@ impl HyperRect {
         }
     }
 
+    /// The rectangle with corners `lo` and `hi` copied from raw bound rows
+    /// that already form a valid rectangle — the way directory slabs, which
+    /// store `lo` then `hi` per entry, hand out an owned rectangle.
+    pub fn from_bounds(lo: &[f64], hi: &[f64]) -> Self {
+        debug_assert!(!lo.is_empty(), "zero-dimensional rectangle");
+        debug_assert_eq!(lo.len(), hi.len());
+        debug_assert!(lo.iter().zip(hi).all(|(l, h)| l <= h), "inverted bounds");
+        HyperRect {
+            lo: lo.into(),
+            hi: hi.into(),
+        }
+    }
+
     /// The unit data space `[0,1]^d` the paper assumes.
     pub fn unit(dim: usize) -> Self {
         assert!(dim > 0, "zero-dimensional rectangle");
@@ -276,29 +289,7 @@ impl HyperRect {
     /// the bound minimizes over `k` the distance to the nearer face on `k`
     /// combined with the farther faces on all other axes.
     pub fn min_max_dist2(&self, q: &Point) -> f64 {
-        debug_assert_eq!(self.dim(), q.dim());
-        let d = self.dim();
-        // Precompute per-axis near-face and far-face squared distances.
-        let mut rm2 = vec![0.0; d]; // distance to nearer face (rm_k)
-        let mut rmx2 = vec![0.0; d]; // distance to farther face (rM_k)
-        let mut far_sum = 0.0;
-        for i in 0..d {
-            let c = q[i];
-            let mid = 0.5 * (self.lo[i] + self.hi[i]);
-            let rm = if c <= mid { self.lo[i] } else { self.hi[i] };
-            let rmx = if c >= mid { self.lo[i] } else { self.hi[i] };
-            rm2[i] = (c - rm) * (c - rm);
-            rmx2[i] = (c - rmx) * (c - rmx);
-            far_sum += rmx2[i];
-        }
-        let mut best = f64::INFINITY;
-        for k in 0..d {
-            let v = rm2[k] + (far_sum - rmx2[k]);
-            if v < best {
-                best = v;
-            }
-        }
-        best
+        min_max_dist2_bounds(&self.lo, &self.hi, q.coords())
     }
 
     /// Splits the rectangle at `value` on `axis`, returning the lower and
@@ -312,6 +303,39 @@ impl HyperRect {
         upper.lo[axis] = v;
         (lower, upper)
     }
+}
+
+/// [`HyperRect::min_max_dist2`] on raw bound rows (`lo`, `hi`) and a raw
+/// query row, for rectangles stored in a slab instead of a [`HyperRect`].
+///
+/// Two passes, no scratch memory: the first sums the far-face terms, the
+/// second re-derives each axis's near- and far-face term and minimizes
+/// `near_k + (far_sum − far_k)`.
+pub fn min_max_dist2_bounds(lo: &[f64], hi: &[f64], q: &[f64]) -> f64 {
+    debug_assert_eq!(lo.len(), q.len());
+    debug_assert_eq!(hi.len(), q.len());
+    // Squared distances from `q` to the nearer face (rm_k) and the farther
+    // face (rM_k) on axis `i`.
+    let faces2 = |i: usize| -> (f64, f64) {
+        let c = q[i];
+        let mid = 0.5 * (lo[i] + hi[i]);
+        let rm = if c <= mid { lo[i] } else { hi[i] };
+        let rmx = if c >= mid { lo[i] } else { hi[i] };
+        ((c - rm) * (c - rm), (c - rmx) * (c - rmx))
+    };
+    let mut far_sum = 0.0;
+    for i in 0..q.len() {
+        far_sum += faces2(i).1;
+    }
+    let mut best = f64::INFINITY;
+    for k in 0..q.len() {
+        let (near2, far2) = faces2(k);
+        let v = near2 + (far_sum - far2);
+        if v < best {
+            best = v;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -426,6 +450,84 @@ mod tests {
         let rect = HyperRect::new(vec![0.4], vec![0.8]).unwrap();
         let q = Point::new(vec![0.0]).unwrap();
         assert!((rect.min_max_dist2(&q) - 0.16).abs() < 1e-12);
+    }
+
+    /// The formula as it was written before it stopped allocating: per-axis
+    /// near/far terms stored in two scratch vectors.
+    fn min_max_dist2_with_scratch(rect: &HyperRect, q: &Point) -> f64 {
+        let d = rect.dim();
+        let mut rm2 = vec![0.0; d];
+        let mut rmx2 = vec![0.0; d];
+        let mut far_sum = 0.0;
+        for i in 0..d {
+            let c = q[i];
+            let mid = 0.5 * (rect.lo(i) + rect.hi(i));
+            let rm = if c <= mid { rect.lo(i) } else { rect.hi(i) };
+            let rmx = if c >= mid { rect.lo(i) } else { rect.hi(i) };
+            rm2[i] = (c - rm) * (c - rm);
+            rmx2[i] = (c - rmx) * (c - rmx);
+            far_sum += rmx2[i];
+        }
+        let mut best = f64::INFINITY;
+        for k in 0..d {
+            let v = rm2[k] + (far_sum - rmx2[k]);
+            if v < best {
+                best = v;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn minmaxdist_is_bit_identical_to_the_scratch_formula() {
+        // A small deterministic generator keeps the test dependency-free.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for dim in 1..=63usize {
+            let mut lo = Vec::with_capacity(dim);
+            let mut hi = Vec::with_capacity(dim);
+            for axis in 0..dim {
+                let (a, b) = (next(), next());
+                lo.push(a.min(b));
+                // Every third axis is degenerate (`lo == hi`).
+                hi.push(if axis % 3 == 2 { a.min(b) } else { a.max(b) });
+            }
+            let rect = r(&lo, &hi);
+            let inside: Vec<f64> = (0..dim).map(|i| 0.5 * (lo[i] + hi[i])).collect();
+            let outside: Vec<f64> = (0..dim)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        lo[i] - next()
+                    } else {
+                        hi[i] + next()
+                    }
+                })
+                .collect();
+            let mut on_face = inside.clone();
+            on_face[dim / 2] = hi[dim / 2];
+            let random: Vec<f64> = (0..dim).map(|_| next()).collect();
+            for q in [inside, outside, on_face, random, lo.clone(), hi.clone()] {
+                let q = p(&q);
+                let want = min_max_dist2_with_scratch(&rect, &q);
+                assert_eq!(rect.min_max_dist2(&q).to_bits(), want.to_bits(), "d={dim}");
+                assert_eq!(
+                    min_max_dist2_bounds(&lo, &hi, q.coords()).to_bits(),
+                    want.to_bits(),
+                    "d={dim}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_bounds_copies_the_corners() {
+        let rect = HyperRect::from_bounds(&[0.1, 0.2], &[0.3, 0.2]);
+        assert_eq!(rect, r(&[0.1, 0.2], &[0.3, 0.2]));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use parsim_geometry::Point;
 use parsim_hilbert::HilbertCurve;
 
-use crate::node::{InnerEntry, LeafEntries, LeafEntry, Node, NodeId};
+use crate::node::{InnerEntries, LeafEntries, LeafEntry, Node, NodeId};
 use crate::params::TreeParams;
 use crate::tree::SpatialTree;
 use crate::IndexError;
@@ -109,7 +109,8 @@ impl SpatialTree {
         // Pack each run into leaves; chunk sizes are distributed evenly so
         // no node violates the min-fill invariant.
         let leaf_target = ((tree.params.leaf_capacity as f64 * BULK_FILL) as usize).max(1);
-        let mut level: Vec<InnerEntry> = Vec::new();
+        // The (MBR, node) list of the level being packed, itself one slab.
+        let mut level = InnerEntries::new(tree.params.dim);
         let mut group_leaves: Vec<Vec<NodeId>> = vec![Vec::new(); group_count];
         for (gi, run) in runs {
             let sizes = even_chunks(run.len(), leaf_min, leaf_target, tree.params.leaf_capacity);
@@ -127,7 +128,7 @@ impl SpatialTree {
                 let mbr = node.mbr().expect("chunk is non-empty");
                 let id = tree.alloc(node);
                 group_leaves[gi].push(id);
-                level.push(InnerEntry { mbr, child: id });
+                level.push(&mbr, id);
             }
         }
 
@@ -140,18 +141,18 @@ impl SpatialTree {
                 ((tree.params.inner_capacity as f64 * BULK_FILL) as usize).max(2),
                 tree.params.inner_capacity,
             );
-            let mut next: Vec<InnerEntry> = Vec::with_capacity(sizes.len());
-            let mut iter = level.into_iter();
+            let mut next = InnerEntries::with_capacity(tree.params.dim, sizes.len());
+            let mut start = 0;
             for size in sizes {
-                let chunk: Vec<InnerEntry> = iter.by_ref().take(size).collect();
                 let node = Node::Inner {
-                    entries: chunk,
+                    entries: level.range(start..start + size),
                     pages: 1,
                     split_dims: 0,
                 };
+                start += size;
                 let mbr = node.mbr().expect("chunk is non-empty");
                 let id = tree.alloc(node);
-                next.push(InnerEntry { mbr, child: id });
+                next.push(&mbr, id);
             }
             level = next;
             height += 1;
@@ -159,11 +160,11 @@ impl SpatialTree {
 
         // Install the root: the single remaining entry's child replaces the
         // empty bootstrap leaf.
-        let top = level.pop().expect("at least one node");
         tree.nodes[tree.root.0 as usize] = None;
         tree.free.push(tree.root);
-        tree.root = top.child;
+        tree.root = level.child(0);
         tree.height = height;
+        tree.bounds = Some(level.mbr(0));
         Ok((tree, group_leaves))
     }
 }

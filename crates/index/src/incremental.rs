@@ -135,10 +135,11 @@ impl Iterator for NnIterator<'_> {
                             }
                         }
                         Node::Inner { entries, .. } => {
-                            for e in entries {
+                            let min_dists2 = entries.min_dists2(self.query.coords());
+                            for (dist2, &child) in min_dists2.zip(entries.children()) {
                                 self.queue.push(Entry {
-                                    dist2: e.mbr.min_dist2(&self.query),
-                                    kind: Kind::Node(ti, e.child),
+                                    dist2,
+                                    kind: Kind::Node(ti, child),
                                 });
                             }
                         }

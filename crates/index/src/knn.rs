@@ -32,7 +32,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use parsim_geometry::{kernel, Point};
+use parsim_geometry::{kernel, rect, Point};
 
 use crate::node::{LeafEntries, Node, NodeId};
 use crate::params::ScanOrder;
@@ -307,29 +307,39 @@ impl SpatialTree {
                 scanner.scan(entries, query, best, shared, stats);
             }
             Node::Inner { entries, .. } => {
-                // Build the active branch list ordered by MINDIST.
-                let mut branches: Vec<(f64, f64, NodeId)> = entries
-                    .iter()
-                    .map(|e| (e.mbr.min_dist2(query), e.mbr.min_max_dist2(query), e.child))
-                    .collect();
-                branches.sort_by(|a, b| a.0.total_cmp(&b.0));
+                // This node's active branch list — `(MINDIST², entry)` in
+                // MINDIST order, ties in entry order — lives on the
+                // query's scratch stack above the lists of its ancestors.
+                let start = scanner.branches.len();
+                scanner
+                    .branches
+                    .extend(entries.min_dists2(query.coords()).zip(0u32..));
+                scanner.branches[start..]
+                    .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 // MINMAXDIST pruning (valid for k = 1): no partition whose
                 // MINDIST exceeds the smallest MINMAXDIST can contain the
                 // nearest neighbor.
                 if k == 1 {
-                    let min_minmax = branches.iter().map(|b| b.1).fold(f64::INFINITY, f64::min);
-                    let before = branches.len();
-                    branches.retain(|b| b.0 <= min_minmax);
-                    stats.pruned += (before - branches.len()) as u64;
+                    let min_minmax = entries
+                        .iter()
+                        .map(|(lo, hi, _)| rect::min_max_dist2_bounds(lo, hi, query.coords()))
+                        .fold(f64::INFINITY, f64::min);
+                    let kept = scanner.branches[start..].partition_point(|b| b.0 <= min_minmax);
+                    stats.pruned += (scanner.branches.len() - start - kept) as u64;
+                    scanner.branches.truncate(start + kept);
                 }
-                for (i, &(min_dist, _, child)) in branches.iter().enumerate() {
+                let end = scanner.branches.len();
+                for i in start..end {
+                    let (min_dist, entry) = scanner.branches[i];
                     if min_dist > prune_bound(best, shared) {
                         // Sorted order: everything further is pruned too.
-                        stats.pruned += (branches.len() - i) as u64;
+                        stats.pruned += (end - i) as u64;
                         break;
                     }
+                    let child = entries.child(entry as usize);
                     self.rkv_visit(child, query, k, best, shared, scanner, stats);
                 }
+                scanner.branches.truncate(start);
             }
         }
     }
@@ -355,9 +365,11 @@ fn prune_bound(best: &BoundedMaxHeap, shared: Option<&SharedBound>) -> f64 {
 /// One scanner serves one query. The f32 query mirror is cast once, on the
 /// first leaf; the per-block state — query codes on the leaf's
 /// quantization grid, phase-1 sums, the survivor gather — is overwritten
-/// by each `scan` call. The search driver ([`ForestCursor`], the
-/// traced entry points) owns the scanner so the scratch allocations
-/// amortize over every leaf of the search.
+/// by each `scan` call. The scanner also carries the descent's scratch:
+/// the stack of sorted branch lists of the directory nodes being visited.
+/// The search driver ([`ForestCursor`], the traced entry points) owns the
+/// scanner so the scratch allocations amortize over every node of the
+/// search.
 #[derive(Debug)]
 pub struct LeafScanner {
     tier: ScanTier,
@@ -384,6 +396,11 @@ pub struct LeafScanner {
     gather: Vec<f64>,
     /// f64 batch kernel outputs (whole block, or survivors).
     d2: Vec<f64>,
+    /// The RKV descent's stack of sorted branch lists, `(MINDIST², entry
+    /// index)`: one segment per directory node on the current root-to-node
+    /// path, so a directory visit allocates nothing once the stack has
+    /// reached the depth of the search.
+    branches: Vec<(f64, u32)>,
 }
 
 impl LeafScanner {
@@ -408,6 +425,7 @@ impl LeafScanner {
             survivors: Vec::new(),
             gather: Vec::new(),
             d2: Vec::new(),
+            branches: Vec::new(),
         }
     }
 
@@ -928,15 +946,15 @@ fn hs_search(
                 scanner.scan(entries, query, &mut best, shared, &mut stats[entry.tree]);
             }
             Node::Inner { entries, .. } => {
-                for e in entries {
-                    let d = e.mbr.min_dist2(query);
+                let min_dists2 = entries.min_dists2(query.coords());
+                for (d, &child) in min_dists2.zip(entries.children()) {
                     if d > prune_bound(&best, shared) {
                         stats[entry.tree].pruned += 1;
                     } else {
                         queue.push(HsEntry {
                             dist2: d,
                             tree: entry.tree,
-                            node: e.child,
+                            node: child,
                         });
                     }
                 }

@@ -79,10 +79,10 @@ impl SpatialTree {
                             }
                         }
                         Node::Inner { entries, .. } => {
-                            for e in entries {
+                            for i in 0..entries.len() {
                                 queue.push(Entry {
-                                    key: metric.min_dist_rect(query, &e.mbr),
-                                    kind: Kind::Node(e.child),
+                                    key: metric.min_dist_rect(query, &entries.mbr(i)),
+                                    kind: Kind::Node(entries.child(i)),
                                 });
                             }
                         }
@@ -149,9 +149,9 @@ impl SpatialTree {
                 }
             }
             Node::Inner { entries, .. } => {
-                for e in entries {
-                    if metric.min_dist_rect(center, &e.mbr) <= bound {
-                        self.range_metric_visit(e.child, center, bound, metric, out);
+                for i in 0..entries.len() {
+                    if metric.min_dist_rect(center, &entries.mbr(i)) <= bound {
+                        self.range_metric_visit(entries.child(i), center, bound, metric, out);
                     }
                 }
             }

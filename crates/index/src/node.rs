@@ -261,14 +261,179 @@ pub fn energy_permutation(coords: &VectorArena) -> Option<Vec<u32>> {
     }
 }
 
-/// An entry of a directory node: the bounding rectangle of a child
-/// subtree.
+/// The entries of one directory node: the bounding rectangles of the
+/// child subtrees in one contiguous slab, plus a parallel child-id column
+/// — the directory twin of [`LeafEntries`].
+///
+/// Entry `i` occupies `bounds[2·dim·i ..][.. 2·dim]`: its `lo` corner
+/// followed by its `hi` corner. The searches sweep the slab front to back
+/// ([`InnerEntries::min_dists2`]); the mutation paths (insert, split,
+/// bulk load) work on owned rectangles and go through
+/// [`InnerEntries::mbr`] / [`InnerEntries::set_mbr`] (see `DESIGN.md`,
+/// "Directory layout").
 #[derive(Debug, Clone, PartialEq)]
-pub struct InnerEntry {
-    /// Minimum bounding rectangle of everything below `child`.
-    pub mbr: HyperRect,
-    /// The child node.
-    pub child: NodeId,
+pub struct InnerEntries {
+    dim: usize,
+    bounds: Vec<f64>,
+    children: Vec<NodeId>,
+}
+
+impl InnerEntries {
+    /// An empty entry block for rectangles of dimension `dim`.
+    pub fn new(dim: usize) -> Self {
+        InnerEntries::with_capacity(dim, 0)
+    }
+
+    /// An empty entry block with room for `entries` entries.
+    pub fn with_capacity(dim: usize, entries: usize) -> Self {
+        assert!(dim > 0, "zero-dimensional directory entries");
+        InnerEntries {
+            dim,
+            bounds: Vec::with_capacity(2 * dim * entries),
+            children: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Builds a block from owned `(rectangle, child)` pairs, order kept.
+    pub fn from_rects(dim: usize, rects: impl IntoIterator<Item = (HyperRect, NodeId)>) -> Self {
+        let rects = rects.into_iter();
+        let mut entries = InnerEntries::with_capacity(dim, rects.size_hint().0);
+        for (mbr, child) in rects {
+            entries.push(&mbr, child);
+        }
+        entries
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.children.len()
+    }
+
+    /// True if the block holds no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.children.is_empty()
+    }
+
+    /// Appends one entry.
+    pub fn push(&mut self, mbr: &HyperRect, child: NodeId) {
+        assert_eq!(mbr.dim(), self.dim, "rectangle dimension mismatch");
+        self.bounds.extend_from_slice(mbr.lo_coords());
+        self.bounds.extend_from_slice(mbr.hi_coords());
+        self.children.push(child);
+    }
+
+    /// Child node of entry `i`.
+    #[inline]
+    pub fn child(&self, i: usize) -> NodeId {
+        self.children[i]
+    }
+
+    /// The child ids, in entry order.
+    #[inline]
+    pub fn children(&self) -> &[NodeId] {
+        &self.children
+    }
+
+    /// The `(lo, hi)` bound rows of entry `i`.
+    #[inline]
+    fn bounds(&self, i: usize) -> (&[f64], &[f64]) {
+        self.bounds[2 * self.dim * i..][..2 * self.dim].split_at(self.dim)
+    }
+
+    /// Materializes entry `i`'s rectangle as an owned [`HyperRect`].
+    pub fn mbr(&self, i: usize) -> HyperRect {
+        let (lo, hi) = self.bounds(i);
+        HyperRect::from_bounds(lo, hi)
+    }
+
+    /// Overwrites entry `i`'s rectangle.
+    pub fn set_mbr(&mut self, i: usize, mbr: &HyperRect) {
+        assert_eq!(mbr.dim(), self.dim, "rectangle dimension mismatch");
+        let (lo, hi) = self.bounds[2 * self.dim * i..][..2 * self.dim].split_at_mut(self.dim);
+        lo.copy_from_slice(mbr.lo_coords());
+        hi.copy_from_slice(mbr.hi_coords());
+    }
+
+    /// Iterates over `(lo, hi, child)` in entry order.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[f64], &[f64], NodeId)> {
+        self.bounds
+            .chunks_exact(2 * self.dim)
+            .zip(self.children.iter())
+            .map(|(b, &child)| {
+                let (lo, hi) = b.split_at(self.dim);
+                (lo, hi, child)
+            })
+    }
+
+    /// Materializes all entries as owned `(rectangle, child)` pairs (order
+    /// preserved) — the form the split algorithms sort and regroup.
+    pub fn to_rects(&self) -> Vec<(HyperRect, NodeId)> {
+        self.iter()
+            .map(|(lo, hi, child)| (HyperRect::from_bounds(lo, hi), child))
+            .collect()
+    }
+
+    /// A copy of the entries in `range` as a block of its own.
+    pub fn range(&self, range: std::ops::Range<usize>) -> InnerEntries {
+        let width = 2 * self.dim;
+        InnerEntries {
+            dim: self.dim,
+            bounds: self.bounds[width * range.start..width * range.end].to_vec(),
+            children: self.children[range].to_vec(),
+        }
+    }
+
+    /// Removes entry `i` by moving the last entry into its slot (order not
+    /// preserved).
+    pub fn swap_remove(&mut self, i: usize) {
+        let width = 2 * self.dim;
+        let last = self.children.len() - 1;
+        self.children.swap_remove(i);
+        if i != last {
+            self.bounds
+                .copy_within(width * last..width * (last + 1), width * i);
+        }
+        self.bounds.truncate(width * last);
+    }
+
+    /// `MINDIST²(q, R_i)` of every entry, in entry order, in one pass over
+    /// the slab.
+    ///
+    /// Each value is **bit-identical** to [`HyperRect::min_dist2`] on the
+    /// same rectangle: the per-axis terms are added one after the other in
+    /// axis order. An axis whose interval covers the query contributes an
+    /// exact `+0.0` here where `min_dist2` skips it, which leaves the
+    /// running sum unchanged. Spelling the term as a clamp instead of two
+    /// branches is what lets the sweep run at memory speed: whether a
+    /// uniform query falls inside an interval is a coin toss per axis.
+    #[inline]
+    pub fn min_dists2<'a>(&'a self, q: &'a [f64]) -> impl ExactSizeIterator<Item = f64> + 'a {
+        assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        self.bounds.chunks_exact(2 * self.dim).map(move |b| {
+            let (lo, hi) = b.split_at(self.dim);
+            let mut acc = 0.0;
+            for ((&l, &h), &c) in lo.iter().zip(hi).zip(q) {
+                let d = (l - c).max(c - h).max(0.0);
+                acc += d * d;
+            }
+            acc
+        })
+    }
+
+    /// The union of all entry rectangles, or `None` for an empty block.
+    pub fn union(&self) -> Option<HyperRect> {
+        let mut it = self.iter();
+        let (lo, hi, _) = it.next()?;
+        let mut mbr = HyperRect::from_bounds(lo, hi);
+        for (lo, hi, _) in it {
+            mbr.expand_to_coords(lo);
+            mbr.expand_to_coords(hi);
+        }
+        Some(mbr)
+    }
 }
 
 /// A tree node. `pages > 1` marks an X-tree supernode, which occupies
@@ -290,8 +455,8 @@ pub enum Node {
     },
     /// A directory node holding child MBRs.
     Inner {
-        /// The child entries.
-        entries: Vec<InnerEntry>,
+        /// The child entries, one contiguous bounds slab.
+        entries: InnerEntries,
         /// Number of disk pages this node occupies (supernodes: > 1).
         pages: u32,
         /// X-tree split history: bitmask of the dimensions along which the
@@ -347,15 +512,7 @@ impl Node {
                 }
                 Some(mbr)
             }
-            Node::Inner { entries, .. } => {
-                let mut it = entries.iter();
-                let first = it.next()?;
-                let mut mbr = first.mbr.clone();
-                for e in it {
-                    mbr.expand_to_rect(&e.mbr);
-                }
-                Some(mbr)
-            }
+            Node::Inner { entries, .. } => entries.union(),
         }
     }
 }
@@ -439,20 +596,55 @@ mod tests {
     }
 
     #[test]
+    fn inner_entries_round_trip_and_mutate() {
+        let a = HyperRect::new(vec![0.0, 0.1], vec![0.3, 0.4]).unwrap();
+        let b = HyperRect::new(vec![0.5, 0.5], vec![1.0, 0.8]).unwrap();
+        let c = HyperRect::new(vec![0.2, 0.6], vec![0.2, 0.9]).unwrap();
+        let rects = vec![
+            (a.clone(), NodeId(4)),
+            (b.clone(), NodeId(5)),
+            (c.clone(), NodeId(6)),
+        ];
+        let mut es = InnerEntries::from_rects(2, rects.clone());
+        assert_eq!(es.len(), 3);
+        assert_eq!(es.children(), &[NodeId(4), NodeId(5), NodeId(6)]);
+        assert_eq!(es.bounds(1), (&[0.5, 0.5][..], &[1.0, 0.8][..]));
+        assert_eq!(es.mbr(2), c);
+        assert_eq!(es.to_rects(), rects);
+        let listed: Vec<NodeId> = es.iter().map(|(_, _, child)| child).collect();
+        assert_eq!(listed, es.children());
+
+        // The slab MINDIST is the rectangle's, bit for bit.
+        let q = p(&[0.4, 0.0]);
+        let got: Vec<u64> = es.min_dists2(q.coords()).map(f64::to_bits).collect();
+        let want: Vec<u64> = [&a, &b, &c]
+            .iter()
+            .map(|r| r.min_dist2(&q).to_bits())
+            .collect();
+        assert_eq!(got, want);
+
+        assert_eq!(es.range(1..3).to_rects(), rects[1..]);
+
+        es.set_mbr(0, &b);
+        assert_eq!(es.mbr(0), b);
+        assert_eq!(es.child(0), NodeId(4));
+
+        // swap_remove moves the last entry into the hole.
+        es.swap_remove(0);
+        assert_eq!(es.to_rects(), vec![(c.clone(), NodeId(6)), (b, NodeId(5))]);
+        es.swap_remove(1);
+        assert_eq!(es.to_rects(), vec![(c, NodeId(6))]);
+        es.swap_remove(0);
+        assert!(es.is_empty());
+        assert!(es.union().is_none());
+    }
+
+    #[test]
     fn inner_mbr_covers_children() {
         let a = HyperRect::new(vec![0.0, 0.0], vec![0.3, 0.3]).unwrap();
         let b = HyperRect::new(vec![0.5, 0.5], vec![1.0, 0.8]).unwrap();
         let n = Node::Inner {
-            entries: vec![
-                InnerEntry {
-                    mbr: a,
-                    child: NodeId(1),
-                },
-                InnerEntry {
-                    mbr: b,
-                    child: NodeId(2),
-                },
-            ],
+            entries: InnerEntries::from_rects(2, [(a, NodeId(1)), (b, NodeId(2))]),
             pages: 2,
             split_dims: 0b1,
         };

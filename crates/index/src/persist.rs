@@ -29,7 +29,7 @@ use bytes::Bytes;
 use parsim_geometry::{HyperRect, Point};
 use parsim_storage::{PageId, SimDisk, PAGE_SIZE};
 
-use crate::node::{InnerEntry, LeafEntries, LeafEntry, Node, NodeId};
+use crate::node::{InnerEntries, LeafEntries, LeafEntry, Node, NodeId};
 use crate::params::{TreeParams, TreeVariant};
 use crate::tree::SpatialTree;
 use crate::IndexError;
@@ -171,7 +171,7 @@ impl SpatialTree {
     pub fn persist(&self, disk: &Arc<SimDisk>) -> Result<PersistedTree, PersistError> {
         let dim = self.params().dim;
         // Post-order write so parents know their children's page ids.
-        let root_page = self.persist_node(disk, self.root_id(), dim)?;
+        let root_page = self.persist_node(disk, self.root_id())?;
 
         let mut w = Writer::new();
         w.u8(TAG_META);
@@ -195,12 +195,7 @@ impl SpatialTree {
         Ok(PersistedTree { meta })
     }
 
-    fn persist_node(
-        &self,
-        disk: &Arc<SimDisk>,
-        id: NodeId,
-        dim: usize,
-    ) -> Result<PageId, PersistError> {
+    fn persist_node(&self, disk: &Arc<SimDisk>, id: NodeId) -> Result<PageId, PersistError> {
         match self.node(id) {
             Node::Leaf { entries, .. } => {
                 let mut w = Writer::new();
@@ -221,20 +216,17 @@ impl SpatialTree {
             } => {
                 // Children first.
                 let mut child_pages = Vec::with_capacity(entries.len());
-                for e in entries {
-                    child_pages.push(self.persist_node(disk, e.child, dim)?);
+                for &child in entries.children() {
+                    child_pages.push(self.persist_node(disk, child)?);
                 }
                 let mut w = Writer::new();
                 w.u8(TAG_INNER);
                 w.u16(entries.len() as u16);
                 w.u64(*split_dims);
-                for (e, page) in entries.iter().zip(&child_pages) {
+                for ((lo, hi, _), page) in entries.iter().zip(&child_pages) {
                     w.u64(page.0);
-                    for i in 0..dim {
-                        w.f64(e.mbr.lo(i));
-                    }
-                    for i in 0..dim {
-                        w.f64(e.mbr.hi(i));
+                    for &bound in lo.iter().chain(hi) {
+                        w.f64(bound);
                     }
                 }
                 write_block(disk, &w.buf)
@@ -286,6 +278,7 @@ impl SpatialTree {
         tree.root = root;
         tree.height = height;
         tree.len = len;
+        tree.recompute_bounds();
         Ok(tree)
     }
 }
@@ -361,10 +354,10 @@ fn load_node(
                     .map_err(|_| PersistError::Corrupt("invalid MBR bounds"))?;
                 raw.push((child_page, mbr));
             }
-            let mut entries = Vec::with_capacity(count);
+            let mut entries = InnerEntries::with_capacity(dim, count);
             for (child_page, mbr) in raw {
                 let child = load_node(disk, child_page, dim, leaf_capacity, inner_capacity, tree)?;
-                entries.push(InnerEntry { mbr, child });
+                entries.push(&mbr, child);
             }
             let pages = entries.len().div_ceil(inner_capacity).max(1) as u32;
             Ok(tree.alloc(Node::Inner {

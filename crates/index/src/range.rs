@@ -32,9 +32,10 @@ impl SpatialTree {
                 }
             }
             Node::Inner { entries, .. } => {
-                for e in entries {
-                    if e.mbr.intersects(window) {
-                        self.window_visit(e.child, window, out);
+                for (lo, hi, child) in entries.iter() {
+                    let mut axes = lo.iter().zip(hi).enumerate();
+                    if axes.all(|(i, (&l, &h))| l <= window.hi(i) && window.lo(i) <= h) {
+                        self.window_visit(child, window, out);
                     }
                 }
             }
@@ -74,9 +75,10 @@ impl SpatialTree {
                 }
             }
             Node::Inner { entries, .. } => {
-                for e in entries {
-                    if e.mbr.min_dist2(center) <= r2 {
-                        self.range_visit(e.child, center, r2, out);
+                let min_dists2 = entries.min_dists2(center.coords());
+                for (min_dist2, &child) in min_dists2.zip(entries.children()) {
+                    if min_dist2 <= r2 {
+                        self.range_visit(child, center, r2, out);
                     }
                 }
             }

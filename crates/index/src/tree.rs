@@ -6,7 +6,7 @@ use std::sync::Arc;
 use parsim_geometry::{HyperRect, Point};
 use parsim_storage::SimDisk;
 
-use crate::node::{InnerEntry, LeafEntries, LeafEntry, Node, NodeId};
+use crate::node::{InnerEntries, LeafEntries, LeafEntry, Node, NodeId};
 use crate::params::{TreeParams, TreeVariant};
 use crate::IndexError;
 
@@ -70,6 +70,10 @@ pub struct SpatialTree {
     /// Height of the tree: a root-only tree has height 1.
     pub(crate) height: usize,
     pub(crate) len: usize,
+    /// The bounding rectangle of all indexed points: always equal to the
+    /// root node's MBR, kept here so that a query reads it instead of
+    /// re-deriving it from the root's entries.
+    pub(crate) bounds: Option<HyperRect>,
     pub(crate) sink: Option<Arc<dyn NodeSink>>,
 }
 
@@ -83,6 +87,7 @@ impl SpatialTree {
             root: NodeId(0),
             height: 1,
             len: 0,
+            bounds: None,
             sink: None,
         };
         let dim = tree.params.dim;
@@ -143,9 +148,14 @@ impl SpatialTree {
         }
     }
 
-    /// The bounding rectangle of all indexed points.
-    pub fn bounds(&self) -> Option<HyperRect> {
-        self.node(self.root).mbr()
+    /// The bounding rectangle of all indexed points (`None` while empty).
+    pub fn bounds(&self) -> Option<&HyperRect> {
+        self.bounds.as_ref()
+    }
+
+    /// Re-derives the cached bounding rectangle from the root node.
+    pub(crate) fn recompute_bounds(&mut self) {
+        self.bounds = self.node(self.root).mbr();
     }
 
     // ----- arena ---------------------------------------------------------
@@ -189,6 +199,12 @@ impl SpatialTree {
                 got: point.dim(),
             });
         }
+        // Splits and reinserts only regroup points, so the union over the
+        // root grows by exactly this point.
+        match &mut self.bounds {
+            Some(bounds) => bounds.expand_to_point(&point),
+            None => self.bounds = Some(HyperRect::from_point(&point)),
+        }
         self.insert_leaf_entry(LeafEntry { point, item }, true);
         self.len += 1;
         Ok(())
@@ -203,13 +219,13 @@ impl SpatialTree {
             match self.node(current) {
                 Node::Leaf { .. } => break,
                 Node::Inner { entries, .. } => {
-                    let child_is_leaf = self.nodes[entries[0].child.0 as usize]
+                    let child_is_leaf = self.nodes[entries.child(0).0 as usize]
                         .as_ref()
                         .map(Node::is_leaf)
                         .unwrap_or(false);
                     let idx = self.choose_subtree(entries, &target, child_is_leaf);
                     path.push((current, idx));
-                    current = entries[idx].child;
+                    current = entries.child(idx);
                 }
             }
         }
@@ -231,23 +247,25 @@ impl SpatialTree {
     /// insert and dominates build time once supernodes grow.
     fn choose_subtree(
         &self,
-        entries: &[InnerEntry],
+        entries: &InnerEntries,
         target: &HyperRect,
         child_is_leaf: bool,
     ) -> usize {
         const OVERLAP_CANDIDATES: usize = 32;
 
+        let mbrs: Vec<HyperRect> = (0..entries.len()).map(|i| entries.mbr(i)).collect();
+
         // Volume-growth key for every child.
-        let growth: Vec<f64> = entries
+        let growth: Vec<f64> = mbrs
             .iter()
-            .map(|e| e.mbr.union(target).volume() - e.mbr.volume())
+            .map(|mbr| mbr.union(target).volume() - mbr.volume())
             .collect();
 
         if !child_is_leaf {
             let mut best = 0;
             let mut best_key = (f64::INFINITY, f64::INFINITY);
-            for (i, e) in entries.iter().enumerate() {
-                let key = (growth[i], e.mbr.volume());
+            for (i, mbr) in mbrs.iter().enumerate() {
+                let key = (growth[i], mbr.volume());
                 if key < best_key {
                     best_key = key;
                     best = i;
@@ -257,7 +275,7 @@ impl SpatialTree {
         }
 
         // Leaf-level: least overlap enlargement among the candidate set.
-        let mut candidates: Vec<usize> = (0..entries.len()).collect();
+        let mut candidates: Vec<usize> = (0..mbrs.len()).collect();
         if candidates.len() > OVERLAP_CANDIDATES {
             candidates.sort_by(|&a, &b| growth[a].partial_cmp(&growth[b]).expect("finite volumes"));
             candidates.truncate(OVERLAP_CANDIDATES);
@@ -265,20 +283,20 @@ impl SpatialTree {
         let mut best = candidates[0];
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for &i in &candidates {
-            let e = &entries[i];
-            let enlarged = e.mbr.union(target);
+            let mbr = &mbrs[i];
+            let enlarged = mbr.union(target);
             // Overlap of the enlarged MBR with the siblings, minus the
             // current overlap.
             let mut before = 0.0;
             let mut after = 0.0;
-            for (j, sib) in entries.iter().enumerate() {
+            for (j, sib) in mbrs.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                before += e.mbr.overlap_volume(&sib.mbr);
-                after += enlarged.overlap_volume(&sib.mbr);
+                before += mbr.overlap_volume(sib);
+                after += enlarged.overlap_volume(sib);
             }
-            let key = (after - before, growth[i], e.mbr.volume());
+            let key = (after - before, growth[i], mbr.volume());
             if key < best_key {
                 best_key = key;
                 best = i;
@@ -323,14 +341,9 @@ impl SpatialTree {
                                     split_dims,
                                     ..
                                 } => {
-                                    entries[idx] = InnerEntry {
-                                        mbr: left_mbr,
-                                        child: left,
-                                    };
-                                    entries.push(InnerEntry {
-                                        mbr: right_mbr,
-                                        child: right,
-                                    });
+                                    debug_assert_eq!(entries.child(idx), left);
+                                    entries.set_mbr(idx, &left_mbr);
+                                    entries.push(&right_mbr, right);
                                     *split_dims |= 1u64 << split_axis;
                                 }
                                 Node::Leaf { .. } => unreachable!("parent must be inner"),
@@ -343,16 +356,10 @@ impl SpatialTree {
                             let right_mbr =
                                 self.node(right).mbr().expect("split half is non-empty");
                             let new_root = self.alloc(Node::Inner {
-                                entries: vec![
-                                    InnerEntry {
-                                        mbr: left_mbr,
-                                        child: left,
-                                    },
-                                    InnerEntry {
-                                        mbr: right_mbr,
-                                        child: right,
-                                    },
-                                ],
+                                entries: InnerEntries::from_rects(
+                                    self.params.dim,
+                                    [(left_mbr, left), (right_mbr, right)],
+                                ),
                                 pages: 1,
                                 split_dims: 1u64 << split_axis,
                             });
@@ -381,7 +388,7 @@ impl SpatialTree {
         for &(parent, idx) in path.iter().rev() {
             let mbr = self.node(child).mbr().expect("path nodes are non-empty");
             match self.node_mut(parent) {
-                Node::Inner { entries, .. } => entries[idx].mbr = mbr,
+                Node::Inner { entries, .. } => entries.set_mbr(idx, &mbr),
                 Node::Leaf { .. } => unreachable!("path nodes are inner"),
             }
             child = parent;
@@ -506,7 +513,7 @@ impl SpatialTree {
                 entries,
                 split_dims,
                 pages,
-            } => (entries.clone(), *split_dims, *pages),
+            } => (entries.to_rects(), *split_dims, *pages),
             Node::Leaf { .. } => unreachable!(),
         };
         let topo = self.rstar_inner_split(&entries, min);
@@ -561,17 +568,17 @@ impl SpatialTree {
     /// axis.
     fn rstar_inner_split(
         &self,
-        entries: &[InnerEntry],
+        entries: &[OwnedEntry],
         min: usize,
-    ) -> (usize, usize, Vec<InnerEntry>) {
+    ) -> (usize, usize, Vec<OwnedEntry>) {
         let dim = self.params.dim;
         let n = entries.len();
-        let mut best: Option<(f64, usize, Vec<InnerEntry>)> = None;
+        let mut best: Option<(f64, usize, Vec<OwnedEntry>)> = None;
         for axis in 0..dim {
             let mut sorted = entries.to_vec();
-            sorted.sort_by(|a, b| {
-                (a.mbr.lo(axis), a.mbr.hi(axis))
-                    .partial_cmp(&(b.mbr.lo(axis), b.mbr.hi(axis)))
+            sorted.sort_by(|(a, _), (b, _)| {
+                (a.lo(axis), a.hi(axis))
+                    .partial_cmp(&(b.lo(axis), b.hi(axis)))
                     .expect("finite bounds")
             });
             let (prefix, suffix) = rect_prefix_suffix_mbrs(&sorted);
@@ -604,30 +611,27 @@ impl SpatialTree {
     /// two groups whose MBRs do not overlap on that axis.
     fn overlap_free_split(
         &self,
-        entries: &[InnerEntry],
+        entries: &[OwnedEntry],
         split_dims: u64,
         min: usize,
-    ) -> Option<(usize, usize, Vec<InnerEntry>)> {
+    ) -> Option<(usize, usize, Vec<OwnedEntry>)> {
         let dim = self.params.dim;
         let history: Vec<usize> = (0..dim).filter(|a| split_dims & (1 << a) != 0).collect();
         let others: Vec<usize> = (0..dim).filter(|a| split_dims & (1 << a) == 0).collect();
         for &axis in history.iter().chain(others.iter()) {
             let mut sorted = entries.to_vec();
-            sorted.sort_by(|a, b| {
-                a.mbr
-                    .lo(axis)
-                    .partial_cmp(&b.mbr.lo(axis))
-                    .expect("finite bounds")
+            sorted.sort_by(|(a, _), (b, _)| {
+                a.lo(axis).partial_cmp(&b.lo(axis)).expect("finite bounds")
             });
             // Sweep: find a cut where everything left ends before
             // everything right begins.
             let mut max_hi = f64::NEG_INFINITY;
             for k in 1..sorted.len() {
-                max_hi = max_hi.max(sorted[k - 1].mbr.hi(axis));
+                max_hi = max_hi.max(sorted[k - 1].0.hi(axis));
                 if k < min || sorted.len() - k < min {
                     continue;
                 }
-                if max_hi <= sorted[k].mbr.lo(axis) {
+                if max_hi <= sorted[k].0.lo(axis) {
                     return Some((k, axis, sorted));
                 }
             }
@@ -638,11 +642,12 @@ impl SpatialTree {
     fn install_inner_split(
         &mut self,
         node: NodeId,
-        sorted: Vec<InnerEntry>,
+        sorted: Vec<OwnedEntry>,
         k: usize,
         split_dims: u64,
         axis: usize,
     ) -> NodeId {
+        let dim = self.params.dim;
         let mut left_entries = sorted;
         let right_entries = left_entries.split_off(k);
         let new_dims = split_dims | (1u64 << axis);
@@ -654,12 +659,12 @@ impl SpatialTree {
         let left_pages = pages_for(left_entries.len());
         let right_pages = pages_for(right_entries.len());
         *self.node_mut(node) = Node::Inner {
-            entries: left_entries,
+            entries: InnerEntries::from_rects(dim, left_entries),
             pages: left_pages,
             split_dims: new_dims,
         };
         self.alloc(Node::Inner {
-            entries: right_entries,
+            entries: InnerEntries::from_rects(dim, right_entries),
             pages: right_pages,
             split_dims: new_dims,
         })
@@ -690,6 +695,7 @@ impl SpatialTree {
         }
         self.len -= 1;
         self.condense(leaf, path);
+        self.recompute_bounds();
         Ok(())
     }
 
@@ -709,10 +715,11 @@ impl SpatialTree {
                 }
             }
             Node::Inner { entries, .. } => {
-                for (i, e) in entries.iter().enumerate() {
-                    if e.mbr.contains_point(point) {
+                for (i, (lo, hi, child)) in entries.iter().enumerate() {
+                    let mut axes = lo.iter().zip(hi).zip(point.iter());
+                    if axes.all(|((l, h), c)| l <= c && c <= h) {
                         path.push((node, i));
-                        if let Some(found) = self.find_leaf(e.child, point, item, path) {
+                        if let Some(found) = self.find_leaf(child, point, item, path) {
                             return Some(found);
                         }
                         path.pop();
@@ -752,7 +759,7 @@ impl SpatialTree {
             } else {
                 let mbr = self.node(current).mbr().expect("non-underfull node");
                 match self.node_mut(parent) {
-                    Node::Inner { entries, .. } => entries[idx].mbr = mbr,
+                    Node::Inner { entries, .. } => entries.set_mbr(idx, &mbr),
                     Node::Leaf { .. } => unreachable!(),
                 }
             }
@@ -762,7 +769,7 @@ impl SpatialTree {
         loop {
             match self.node(self.root) {
                 Node::Inner { entries, .. } if entries.len() == 1 => {
-                    let child = entries[0].child;
+                    let child = entries.child(0);
                     self.dealloc(self.root);
                     self.root = child;
                     self.height -= 1;
@@ -785,9 +792,9 @@ impl SpatialTree {
         match self.node(node).clone() {
             Node::Leaf { entries, .. } => out.extend(entries.to_entries()),
             Node::Inner { entries, .. } => {
-                for e in entries {
-                    self.collect_points(e.child, out);
-                    self.dealloc(e.child);
+                for &child in entries.children() {
+                    self.collect_points(child, out);
+                    self.dealloc(child);
                 }
             }
         }
@@ -834,16 +841,17 @@ impl SpatialTree {
                 } else {
                     assert!(entries.len() >= 2, "inner root must have >= 2 children");
                 }
-                for e in entries {
+                for i in 0..entries.len() {
+                    let child = entries.child(i);
                     let child_mbr = self
-                        .node(e.child)
+                        .node(child)
                         .mbr()
                         .expect("child of inner node is non-empty");
                     assert!(
-                        e.mbr.contains_rect(&child_mbr),
+                        entries.mbr(i).contains_rect(&child_mbr),
                         "entry MBR does not contain child MBR"
                     );
-                    self.validate_node(e.child, level - 1, false, count);
+                    self.validate_node(child, level - 1, false, count);
                 }
             }
         }
@@ -863,6 +871,10 @@ impl SpatialTree {
         self.nodes.iter().flatten()
     }
 }
+
+/// A directory entry in owned form, as the split algorithms sort and
+/// regroup it before the halves go back into slabs.
+type OwnedEntry = (HyperRect, NodeId);
 
 enum OverflowOutcome {
     Split {
@@ -900,30 +912,30 @@ fn point_prefix_suffix_mbrs(entries: &[LeafEntry]) -> (Vec<HyperRect>, Vec<Hyper
 }
 
 /// Rectangle version of [`point_prefix_suffix_mbrs`].
-fn rect_prefix_suffix_mbrs(entries: &[InnerEntry]) -> (Vec<HyperRect>, Vec<HyperRect>) {
+fn rect_prefix_suffix_mbrs(entries: &[OwnedEntry]) -> (Vec<HyperRect>, Vec<HyperRect>) {
     let n = entries.len();
     let mut prefix = Vec::with_capacity(n);
-    let mut mbr = entries[0].mbr.clone();
+    let mut mbr = entries[0].0.clone();
     prefix.push(mbr.clone());
-    for e in &entries[1..] {
-        mbr.expand_to_rect(&e.mbr);
+    for (r, _) in &entries[1..] {
+        mbr.expand_to_rect(r);
         prefix.push(mbr.clone());
     }
-    let mut suffix = vec![entries[n - 1].mbr.clone(); n];
+    let mut suffix = vec![entries[n - 1].0.clone(); n];
     for i in (0..n - 1).rev() {
         let mut m = suffix[i + 1].clone();
-        m.expand_to_rect(&entries[i].mbr);
+        m.expand_to_rect(&entries[i].0);
         suffix[i] = m;
     }
     (prefix, suffix)
 }
 
-fn rects_mbr(entries: &[InnerEntry]) -> HyperRect {
+fn rects_mbr(entries: &[OwnedEntry]) -> HyperRect {
     let mut it = entries.iter();
-    let first = it.next().expect("non-empty group");
-    let mut mbr = first.mbr.clone();
-    for e in it {
-        mbr.expand_to_rect(&e.mbr);
+    let (first, _) = it.next().expect("non-empty group");
+    let mut mbr = first.clone();
+    for (r, _) in it {
+        mbr.expand_to_rect(r);
     }
     mbr
 }

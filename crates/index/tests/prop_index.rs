@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use parsim_geometry::{HyperRect, Point};
 use parsim_index::knn::{brute_force_knn, forest_knn};
+use parsim_index::node::{InnerEntries, NodeId};
 use parsim_index::{KnnAlgorithm, SpatialTree, TreeParams, TreeVariant};
 
 fn arb_points(dim: usize, range: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point>> {
@@ -37,6 +38,7 @@ proptest! {
             inc.insert(p.clone(), *id).unwrap();
         }
         inc.validate();
+        prop_assert_eq!(bulk.bounds().cloned(), bulk.node(bulk.root_id()).mbr());
 
         let a = bulk.knn(&q, 7, KnnAlgorithm::Hs);
         let b = inc.knn(&q, 7, KnnAlgorithm::Hs);
@@ -102,7 +104,8 @@ proptest! {
     }
 
     /// Mixed insert/delete sequences preserve every structural invariant
-    /// and the exact point multiset.
+    /// and the exact point multiset, and after every step the cached
+    /// bounding rectangle equals the union recomputed from the root.
     #[test]
     fn churn_preserves_invariants(
         pts in arb_points(4, 40..120),
@@ -121,6 +124,7 @@ proptest! {
                 live.push((p.clone(), next_id));
                 next_id += 1;
             }
+            prop_assert_eq!(tree.bounds().cloned(), tree.node(tree.root_id()).mbr());
         }
         tree.validate();
         prop_assert_eq!(tree.len(), live.len());
@@ -129,6 +133,47 @@ proptest! {
             let res = tree.knn(p, 1, KnnAlgorithm::Rkv);
             prop_assert_eq!(res[0].dist, 0.0);
             let _ = id;
+        }
+    }
+
+    /// The one-pass slab MINDIST of a directory node equals
+    /// `HyperRect::min_dist2` bit for bit in every supported dimension:
+    /// queries outside, inside and exactly on a face, rectangles with
+    /// degenerate (`lo == hi`) axes.
+    #[test]
+    fn slab_mindist_matches_rect_bitwise(
+        pool in prop::collection::vec(-0.25f64..1.25, 63 * 2 * 6),
+        free_q in prop::collection::vec(-0.5f64..1.5, 63),
+        snap in prop::collection::vec(0usize..5, 63),
+    ) {
+        for dim in 1..=63usize {
+            let rects: Vec<HyperRect> = pool
+                .chunks_exact(2 * dim)
+                .take(6)
+                .map(|corners| {
+                    let (a, b) = corners.split_at(dim);
+                    let lo: Vec<f64> = a.iter().zip(b).map(|(x, y)| x.min(*y)).collect();
+                    let hi = (0..dim)
+                        .map(|j| if snap[j] == 4 { lo[j] } else { a[j].max(b[j]) })
+                        .collect();
+                    HyperRect::new(lo, hi).unwrap()
+                })
+                .collect();
+            // Each query coordinate is free or sits on a face of the
+            // first rectangle.
+            let q = Point::from_vec(
+                (0..dim)
+                    .map(|j| match snap[j] {
+                        0 => rects[0].lo(j),
+                        1 => rects[0].hi(j),
+                        _ => free_q[j],
+                    })
+                    .collect(),
+            );
+            let entries = InnerEntries::from_rects(dim, rects.iter().cloned().zip((0..).map(NodeId)));
+            let got: Vec<u64> = entries.min_dists2(q.coords()).map(f64::to_bits).collect();
+            let want: Vec<u64> = rects.iter().map(|r| r.min_dist2(&q).to_bits()).collect();
+            prop_assert_eq!(got, want, "dim {}", dim);
         }
     }
 }

@@ -38,7 +38,7 @@ pub use ingest::IngestConfig;
 pub use metrics::{run_knn_workload, run_traced_workload, DegradedInfo, QueryTrace, WorkloadCost};
 pub use obs::EngineMetrics;
 pub use options::{ExecutionMode, FaultPolicy, QueryMode, QueryOptions, QueryResult, RetryPolicy};
-pub use parsim_index::{LshConfig, ScanTier};
+pub use parsim_index::{LshConfig, ScanOrder, ScanTier};
 pub use pool::PendingQuery;
 pub use sequential::SequentialEngine;
 pub use serve::AdmissionConfig;

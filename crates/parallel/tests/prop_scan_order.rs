@@ -12,8 +12,9 @@ use proptest::prelude::*;
 
 use parsim_datagen::{ClusteredGenerator, CorrelatedGenerator, DataGenerator, UniformGenerator};
 use parsim_geometry::Point;
-use parsim_index::{ScanOrder, ScanTier};
-use parsim_parallel::{IngestConfig, ParallelKnnEngine, QueryOptions, QueryTrace};
+use parsim_parallel::{
+    IngestConfig, ParallelKnnEngine, QueryOptions, QueryTrace, ScanOrder, ScanTier,
+};
 
 const DIM: usize = 6;
 const DISKS: usize = 8;
