@@ -17,14 +17,21 @@
 //! (`InnerEntries::min_dists2`); the `d<dim>_boxed_rect` rows evaluate the
 //! same entries as one heap-allocated `HyperRect` each, the directory
 //! layout before the slab. ns per entry = ms/iter × 100.
+//!
+//! The `arena_build` group times building one `VectorArena` from clustered
+//! rows: `push/<dim>x<rows>` pushes them one at a time, `from_rows/…` hands
+//! them over at once. Both give the same arena, mirrors included. The
+//! 60-row block is a leaf page, the 10 000-row block a shard-sized store.
+//! ns per row = ms/iter × 10⁶ / rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use parsim_datagen::{DataGenerator, UniformGenerator};
+use parsim_datagen::{ClusteredGenerator, DataGenerator, UniformGenerator};
 use parsim_geometry::{kernel, HyperRect};
 use parsim_index::node::{InnerEntries, NodeId};
 use parsim_index::{TreeParams, TreeVariant};
+use parsim_storage::VectorArena;
 
 fn naive_dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
@@ -230,5 +237,28 @@ fn bench_mindist(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_mindist);
+fn bench_arena_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("arena_build");
+    for dim in [16usize, 48] {
+        for rows in [60usize, 10_000] {
+            let points = ClusteredGenerator::new(dim, 32, 0.05).generate(rows, 5);
+            let label = format!("{dim}x{rows}");
+            group.bench_function(&format!("push/{label}"), |b| {
+                b.iter(|| {
+                    let mut arena = VectorArena::with_capacity(dim, rows);
+                    for p in &points {
+                        arena.push(black_box(p.coords()));
+                    }
+                    arena
+                })
+            });
+            group.bench_function(&format!("from_rows/{label}"), |b| {
+                b.iter(|| VectorArena::from_rows(dim, points.iter().map(|p| black_box(p.coords()))))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_kernels, bench_mindist, bench_arena_build);
 criterion_main!(benches);

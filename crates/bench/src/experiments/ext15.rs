@@ -124,19 +124,15 @@ fn run_cell(
         lsh_empty: 0,
     };
     for q in queries {
-        let want: Vec<u64> = brute_force_knn(truth, q, K)
+        let want: Vec<f64> = brute_force_knn(truth, q, K)
             .iter()
-            .map(|n| n.item)
+            .map(|n| n.dist)
             .collect();
         let res = engine
             .query(q, opts)
             .expect("workload queries match the engine");
-        let hits = res
-            .neighbors
-            .iter()
-            .filter(|n| want.contains(&n.item))
-            .count();
-        s.recall_sum += hits as f64 / K as f64;
+        let got: Vec<f64> = res.neighbors.iter().map(|n| n.dist).collect();
+        s.recall_sum += distance_hits(&want, &got) as f64 / K as f64;
         let t = res.trace.as_ref().expect("traced");
         s.modeled_secs += t.modeled_parallel.as_secs_f64();
         s.pages += t.total_pages();
@@ -146,6 +142,28 @@ fn run_cell(
         s.lsh_empty += t.lsh_empty_probes;
     }
     s
+}
+
+/// How many of the answer's distances `got` match the true top-k
+/// distances `want`, counted as multisets (each true distance matches at
+/// most once). Scoring by item id would count a correct answer as a miss
+/// whenever it holds the other item of a tie at the k-th distance.
+fn distance_hits(want: &[f64], got: &[f64]) -> usize {
+    let mut got = got.to_vec();
+    got.sort_by(f64::total_cmp);
+    let (mut i, mut j, mut hits) = (0, 0, 0);
+    while i < want.len() && j < got.len() {
+        match want[i].total_cmp(&got[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                hits += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    hits
 }
 
 /// Runs the frontier sweep and asserts the acceptance bar in-measure:
@@ -380,5 +398,21 @@ pub fn run(scale: f64) -> ExperimentReport {
              budget found nothing and recall is likely suffering"
                 .to_string(),
         ],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::distance_hits;
+
+    #[test]
+    fn distance_hits_match_ties_with_multiplicity() {
+        // Any order of the true distances scores in full.
+        assert_eq!(distance_hits(&[0.1, 0.2, 0.3], &[0.3, 0.1, 0.2]), 3);
+        // A tie at the k-th distance: the other tied item is still a hit.
+        assert_eq!(distance_hits(&[0.1, 0.2, 0.2], &[0.2, 0.1, 0.2]), 3);
+        // Each true distance matches at most once.
+        assert_eq!(distance_hits(&[0.1, 0.2, 0.3], &[0.2, 0.2, 0.2]), 1);
+        assert_eq!(distance_hits(&[0.1, 0.2], &[0.15, 0.25]), 0);
     }
 }

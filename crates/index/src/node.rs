@@ -57,12 +57,8 @@ impl LeafEntries {
     /// accordingly; blocks whose energy order is already natural (or that
     /// are too small to rank) stay in the plain layout.
     pub fn from_entries_ordered(dim: usize, order: ScanOrder, entries: Vec<LeafEntry>) -> Self {
-        let mut coords = VectorArena::with_capacity(dim, entries.len());
-        let mut items = Vec::with_capacity(entries.len());
-        for e in entries {
-            coords.push(e.point.coords());
-            items.push(e.item);
-        }
+        let mut coords = VectorArena::from_rows(dim, entries.iter().map(|e| e.point.coords()));
+        let items = entries.iter().map(|e| e.item).collect();
         if order == ScanOrder::Energy {
             if let Some(perm) = energy_permutation(&coords) {
                 coords.set_permutation(perm);

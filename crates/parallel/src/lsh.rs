@@ -13,14 +13,18 @@
 //! handling of the worker pool carry over unchanged. A per-table disk
 //! rotation keeps the aggregate load balanced across tables.
 //!
-//! Each disk holds one `DiskShard`: a flat [`VectorArena`] of the rows
-//! hashed to that disk (deduplicated by item — several tables may send
-//! the same item to one disk) plus the bucket directory. Bucket scans
-//! charge pages to the owning disk at the same `rows → pages` rate as the
-//! exact tier's leaf scans, so modeled times, `QueryCost`, and the
-//! metrics registry need no new accounting path. When the engine is
-//! replicated, every shard also has a full mirror hosted on the next
-//! disk; a failed-over probe scans the mirror and charges the host.
+//! The runtime stores every row once: one flat `Vec<f64>` of all rows
+//! and their item ids, in build order, however many tables hash a row and
+//! whichever disks own its buckets. Each disk holds one `DiskShard`, its
+//! bucket directory `(table, signature) → row ids` into that shared store.
+//! In the paper's model a disk is where page reads are charged, not which
+//! buffer holds a row: bucket scans charge pages to the owning disk at the
+//! same `rows → pages` rate as the exact tier's leaf scans, so modeled
+//! times, `QueryCost`, and the metrics registry need no new accounting
+//! path. When the engine is replicated, every shard also has a mirror
+//! hosted on the next disk. The mirror is a modeled placement, not a copy:
+//! a failed-over probe reads the failed disk's directory over the shared
+//! rows and charges the pages to the host.
 
 use std::collections::BTreeMap;
 
@@ -28,7 +32,7 @@ use parsim_decluster::near_optimal::{col, colors_required, fold_table};
 use parsim_geometry::Point;
 use parsim_index::knn::{Neighbor, SearchStats};
 use parsim_index::{LshConfig, LshTables};
-use parsim_storage::{VectorArena, PAGE_SIZE};
+use parsim_storage::PAGE_SIZE;
 
 /// LSH-specific work counters of one query, carried next to the
 /// [`SearchStats`] and folded into the trace at completion.
@@ -53,28 +57,16 @@ pub(crate) struct DiskProbes {
     pub(crate) buckets: Vec<(u32, u32)>,
 }
 
-/// One disk's slice of the LSH index.
+/// One disk's slice of the LSH index: its bucket directory.
+#[derive(Default)]
 pub(crate) struct DiskShard {
-    /// Rows stored on this disk, flat row-major.
-    arena: VectorArena,
-    /// `items[r]` is the item id of arena row `r`.
-    items: Vec<u64>,
-    /// `(table, signature) → rows`, ordered for deterministic layout.
+    /// `(table, signature) → rows` of the shared row store, in build
+    /// order, ordered by key for a deterministic layout.
     buckets: BTreeMap<(u32, u32), Vec<u32>>,
 }
 
-impl DiskShard {
-    fn new(dim: usize) -> DiskShard {
-        DiskShard {
-            arena: VectorArena::new(dim),
-            items: Vec::new(),
-            buckets: BTreeMap::new(),
-        }
-    }
-}
-
-/// The fitted, placed LSH index: the hash family plus one shard per disk
-/// (and one mirror shard per disk when the engine is replicated).
+/// The fitted, placed LSH index: the hash family, the one row store, and
+/// one bucket directory per disk.
 pub(crate) struct LshRuntime {
     config: LshConfig,
     tables: LshTables,
@@ -84,18 +76,25 @@ pub(crate) struct LshRuntime {
     usable: usize,
     /// Total disks of the engine (mirror hosts may exceed `usable`).
     disks: usize,
+    /// Coordinates per row.
+    dim: usize,
+    /// Every row, flat row-major, in build order. Only the exact f64
+    /// re-rank reads it, so it carries none of `VectorArena`'s mirrors.
+    rows: Vec<f64>,
+    /// `items[r]` is the item id of row `r`.
+    items: Vec<u64>,
     shards: Vec<DiskShard>,
-    /// `mirrors[d]` is a full copy of shard `d`, hosted on
-    /// `mirror_host(d)`; empty when the engine has no replicas.
-    mirrors: Vec<DiskShard>,
+    /// Whether every shard has a mirror on `mirror_host(d)`.
+    mirrored: bool,
     /// Rows per page of a bucket scan — the exact tier's leaf-entry math.
     rows_per_page: usize,
 }
 
 impl LshRuntime {
-    /// Fits the hash family to `items` and builds the per-disk shards.
-    /// `mirrored` additionally materializes one full mirror shard per
-    /// disk (the engine guarantees `disks >= 2` in that case).
+    /// Fits the hash family to `items` and builds the per-disk bucket
+    /// directories over one copy of the rows. `mirrored` gives every shard
+    /// a mirror host (the engine guarantees `disks >= 2` in that case).
+    /// Item ids must be unique (the engine builders reject duplicates).
     pub(crate) fn build(
         config: LshConfig,
         dim: usize,
@@ -115,41 +114,25 @@ impl LshRuntime {
             fold,
             usable,
             disks,
-            shards: (0..disks).map(|_| DiskShard::new(dim)).collect(),
-            mirrors: if mirrored {
-                (0..disks).map(|_| DiskShard::new(dim)).collect()
-            } else {
-                Vec::new()
-            },
+            dim,
+            rows: Vec::with_capacity(items.len() * dim),
+            items: Vec::with_capacity(items.len()),
+            shards: (0..disks).map(|_| DiskShard::default()).collect(),
+            mirrored,
             rows_per_page,
         };
-        // Per-disk item → row map, so an item hashed to one disk by
-        // several tables is stored (and later scanned) once.
-        let mut row_of: Vec<BTreeMap<u64, u32>> = vec![BTreeMap::new(); disks];
-        for (p, item) in items {
+        for (row, (p, item)) in items.iter().enumerate() {
+            let row = u32::try_from(row).expect("the LSH tier addresses rows as u32");
+            rt.rows.extend_from_slice(p.coords());
+            rt.items.push(*item);
             for t in 0..rt.tables.tables() {
                 let sig = rt.tables.signature(t, p.coords());
                 let disk = rt.disk_of(t, sig);
-                let row = *row_of[disk].entry(*item).or_insert_with(|| {
-                    let r = rt.shards[disk].items.len() as u32;
-                    rt.shards[disk].arena.push(p.coords());
-                    rt.shards[disk].items.push(*item);
-                    if mirrored {
-                        rt.mirrors[disk].arena.push(p.coords());
-                        rt.mirrors[disk].items.push(*item);
-                    }
-                    r
-                });
-                let bucket = rt.shards[disk].buckets.entry((t as u32, sig)).or_default();
-                if bucket.last() != Some(&row) {
-                    bucket.push(row);
-                }
-                if mirrored {
-                    let mb = rt.mirrors[disk].buckets.entry((t as u32, sig)).or_default();
-                    if mb.last() != Some(&row) {
-                        mb.push(row);
-                    }
-                }
+                rt.shards[disk]
+                    .buckets
+                    .entry((t as u32, sig))
+                    .or_default()
+                    .push(row);
             }
         }
         rt
@@ -170,10 +153,10 @@ impl LshRuntime {
         (self.fold[color] as usize + table) % self.usable
     }
 
-    /// The disk hosting the mirror copy of `disk`'s shard, or `None` for
+    /// The disk hosting the mirror of `disk`'s shard, or `None` for
     /// an unreplicated engine.
     pub(crate) fn mirror_host(&self, disk: usize) -> Option<usize> {
-        (!self.mirrors.is_empty()).then(|| (disk + 1) % self.disks)
+        self.mirrored.then(|| (disk + 1) % self.disks)
     }
 
     /// Groups the query's probe targets — `probes` buckets per table, in
@@ -196,7 +179,7 @@ impl LshRuntime {
             .collect()
     }
 
-    /// Scans `disk`'s primary shard for the given probe targets: charges
+    /// Scans `disk`'s buckets for the given probe targets: charges
     /// pages to `stats`, computes the exact f64 distance of every
     /// first-seen row, and returns that disk's candidates sorted
     /// `(dist, item)` and truncated to `k` (the global top-`k` is a
@@ -210,11 +193,41 @@ impl LshRuntime {
         stats: &mut SearchStats,
         counters: &mut LshCounters,
     ) -> Vec<Neighbor> {
-        self.scan_shard(&self.shards[disk], buckets, query, k, stats, counters)
+        let directory = &self.shards[disk].buckets;
+        let mut seen = std::collections::HashSet::new();
+        let mut out: Vec<Neighbor> = Vec::new();
+        for key in buckets {
+            counters.probes += 1;
+            let Some(rows) = directory.get(key).filter(|r| !r.is_empty()) else {
+                counters.empty_probes += 1;
+                continue;
+            };
+            stats.pages += (rows.len().div_ceil(self.rows_per_page)).max(1) as u64;
+            for &row in rows {
+                if !seen.insert(row) {
+                    continue;
+                }
+                let row = row as usize;
+                let point =
+                    Point::from_vec(self.rows[row * self.dim..(row + 1) * self.dim].to_vec());
+                stats.dist_evals += 1;
+                counters.candidates += 1;
+                out.push(Neighbor {
+                    item: self.items[row],
+                    dist: point.dist(query),
+                    point,
+                });
+            }
+        }
+        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
+        out.truncate(k);
+        out
     }
 
-    /// Scans the mirror copy of `disk`'s shard (the failover path). The
-    /// caller charges `stats` of the *host* disk.
+    /// Scans the mirror of `disk`'s shard (the failover path). The mirror
+    /// holds no rows of its own: it reads `disk`'s directory over the
+    /// shared rows, so its candidates and page count equal the primary
+    /// scan's. The caller charges `stats` to the *host* disk.
     pub(crate) fn scan_mirror(
         &self,
         disk: usize,
@@ -224,44 +237,8 @@ impl LshRuntime {
         stats: &mut SearchStats,
         counters: &mut LshCounters,
     ) -> Vec<Neighbor> {
-        self.scan_shard(&self.mirrors[disk], buckets, query, k, stats, counters)
-    }
-
-    fn scan_shard(
-        &self,
-        shard: &DiskShard,
-        buckets: &[(u32, u32)],
-        query: &Point,
-        k: usize,
-        stats: &mut SearchStats,
-        counters: &mut LshCounters,
-    ) -> Vec<Neighbor> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<Neighbor> = Vec::new();
-        for key in buckets {
-            counters.probes += 1;
-            let Some(rows) = shard.buckets.get(key).filter(|r| !r.is_empty()) else {
-                counters.empty_probes += 1;
-                continue;
-            };
-            stats.pages += (rows.len().div_ceil(self.rows_per_page)).max(1) as u64;
-            for &row in rows {
-                if !seen.insert(row) {
-                    continue;
-                }
-                let point = Point::from_vec(shard.arena.row(row as usize).to_vec());
-                stats.dist_evals += 1;
-                counters.candidates += 1;
-                out.push(Neighbor {
-                    item: shard.items[row as usize],
-                    dist: point.dist(query),
-                    point,
-                });
-            }
-        }
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-        out.truncate(k);
-        out
+        assert!(self.mirrored, "mirror scan on an unreplicated LSH tier");
+        self.scan_disk(disk, buckets, query, k, stats, counters)
     }
 
     /// A deterministic byte serialization of every shard's bucket layout
@@ -279,7 +256,7 @@ impl LshRuntime {
                 out.extend_from_slice(&sig.to_le_bytes());
                 out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
                 for &row in rows {
-                    out.extend_from_slice(&shard.items[row as usize].to_le_bytes());
+                    out.extend_from_slice(&self.items[row as usize].to_le_bytes());
                 }
             }
         }
@@ -370,10 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn mirrors_replicate_the_shard_content() {
+    fn mirror_scans_return_the_primary_candidates_and_pages() {
         let data = items(200, 4, 3);
         let cfg = LshConfig::new(2).tables(2).hyperplanes(6);
         let rt = LshRuntime::build(cfg, 4, &data, 4, true);
+        // One copy of the rows, however many tables and mirrors there are.
+        assert_eq!(rt.rows.len(), 200 * 4);
         let q = &data[11].0;
         let plan = rt.plan(q, 2);
         for dp in &plan {
@@ -383,9 +362,13 @@ mod tests {
             let mirr = rt.scan_mirror(dp.disk, &dp.buckets, q, 10, &mut s2, &mut c2);
             assert_eq!(prim, mirr);
             assert_eq!(s1.pages, s2.pages);
+            assert_eq!(s1.dist_evals, s2.dist_evals);
+            assert_eq!(c1.candidates, c2.candidates);
             assert!(rt.mirror_host(dp.disk).is_some());
             assert_ne!(rt.mirror_host(dp.disk), Some(dp.disk));
         }
+        let plain = LshRuntime::build(cfg, 4, &data, 4, false);
+        assert!(plain.mirror_host(0).is_none());
     }
 
     #[test]
