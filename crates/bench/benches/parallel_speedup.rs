@@ -1,9 +1,10 @@
 //! End-to-end bench: parallel 10-NN query latency by declustering method
 //! (wall-clock companion to figures 12–14, whose primary metric is page
-//! counts), plus the threaded execution paths of the engine — one thread
-//! per disk (`knn`), the bounded-worker batch pool (`knn_batch_with`),
-//! and the single-disk sequential baseline, so the measured speed-up can
-//! be read off next to the modeled one (experiment `ext6`).
+//! counts), plus the execution paths of the engine — the single query
+//! driven on the calling thread (`knn`), the bounded-worker batch pool
+//! (`knn_batch_with`), and the single-disk sequential baseline, so the
+//! measured speed-up can be read off next to the modeled one (experiment
+//! `ext6`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -59,7 +60,7 @@ fn bench_execution_paths(c: &mut Criterion) {
         })
     });
 
-    // Intra-query parallelism: one thread per disk, shared pruning bound.
+    // One query at a time, driven disk by disk on the calling thread.
     group.bench_function("threaded_knn10_8disks", |b| {
         let mut i = 0usize;
         b.iter(|| {

@@ -10,8 +10,8 @@ use parsim_decluster::{
 use parsim_geometry::{Point, QuadrantSplitter};
 use parsim_parallel::metrics::{run_declustered_workload, run_sequential_workload};
 use parsim_parallel::{
-    run_knn_workload, DeclusteredXTree, EngineConfig, ParallelKnnEngine, SequentialEngine,
-    SplitStrategy, WorkloadCost,
+    DeclusteredXTree, EngineConfig, ParallelKnnEngine, SequentialEngine, SplitStrategy,
+    WorkloadCost,
 };
 
 /// Declustering methods available to experiments.
@@ -156,11 +156,6 @@ pub fn build_engine(
         .declusterer(d)
         .build(points)
         .expect("engine builds on experiment data")
-}
-
-/// Runs a k-NN workload and returns the aggregate cost.
-pub fn parallel_cost(engine: &ParallelKnnEngine, queries: &[Point], k: usize) -> WorkloadCost {
-    run_knn_workload(engine, queries, k).expect("workload queries match the engine")
 }
 
 /// Builds the sequential baseline and runs the same workload.

@@ -211,30 +211,25 @@ impl SpatialTree {
         algorithm: KnnAlgorithm,
         shared: Option<&SharedBound>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.knn_traced_tiered(query, k, algorithm, shared, ScanTier::F64)
+        self.knn_traced_ordered(
+            query,
+            k,
+            algorithm,
+            shared,
+            ScanTier::F64,
+            ScanOrder::Natural,
+        )
     }
 
     /// Like [`SpatialTree::knn_traced`], with an explicit precision tier
-    /// for the leaf scan.
+    /// for the leaf scan and an explicit [`ScanOrder`] for the f64 leaf
+    /// sweeps.
     ///
     /// The answer list is identical for every tier — the cheap tiers only
     /// skip rows certified farther than the pruning radius — but the work
     /// counters move: on [`ScanTier::F32`] / [`ScanTier::Q8`] most leaf
     /// rows cost one [`SearchStats::lb_evals`] instead of an f64
     /// [`SearchStats::dist_evals`].
-    pub fn knn_traced_tiered(
-        &self,
-        query: &Point,
-        k: usize,
-        algorithm: KnnAlgorithm,
-        shared: Option<&SharedBound>,
-        tier: ScanTier,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        self.knn_traced_ordered(query, k, algorithm, shared, tier, ScanOrder::Natural)
-    }
-
-    /// Like [`SpatialTree::knn_traced_tiered`], with an explicit
-    /// [`ScanOrder`] for the f64 leaf sweeps.
     ///
     /// [`ScanOrder::Energy`] runs the certified permuted filter over leaves
     /// that carry an energy permutation (see `DESIGN.md`, "Scan order");
@@ -725,24 +720,20 @@ pub fn forest_knn_traced(
     k: usize,
     algorithm: KnnAlgorithm,
 ) -> (Vec<Neighbor>, Vec<SearchStats>) {
-    forest_knn_traced_tiered(trees, query, k, algorithm, ScanTier::F64)
+    forest_knn_traced_ordered(
+        trees,
+        query,
+        k,
+        algorithm,
+        ScanTier::F64,
+        ScanOrder::Natural,
+    )
 }
 
 /// Like [`forest_knn_traced`], with an explicit [`ScanTier`] for the leaf
-/// scans. Answers are identical across tiers; only the work counters move.
-pub fn forest_knn_traced_tiered(
-    trees: &[&SpatialTree],
-    query: &Point,
-    k: usize,
-    algorithm: KnnAlgorithm,
-    tier: ScanTier,
-) -> (Vec<Neighbor>, Vec<SearchStats>) {
-    forest_knn_traced_ordered(trees, query, k, algorithm, tier, ScanOrder::Natural)
-}
-
-/// Like [`forest_knn_traced_tiered`], with an explicit [`ScanOrder`] for
-/// the f64 leaf sweeps (see [`SpatialTree::knn_traced_ordered`]). Answers
-/// are identical across orders; only the work counters move.
+/// scans and an explicit [`ScanOrder`] for the f64 leaf sweeps (see
+/// [`SpatialTree::knn_traced_ordered`]). Answers are identical across
+/// tiers and orders; only the work counters move.
 pub fn forest_knn_traced_ordered(
     trees: &[&SpatialTree],
     query: &Point,
@@ -1380,7 +1371,8 @@ mod tests {
                 let want = brute_force_knn(&data, q, 7);
                 for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
                     for algo in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
-                        let (got, stats) = tree.knn_traced_tiered(q, 7, algo, None, tier);
+                        let (got, stats) =
+                            tree.knn_traced_ordered(q, 7, algo, None, tier, ScanOrder::Natural);
                         assert_eq!(got.len(), want.len());
                         for (g, w) in got.iter().zip(&want) {
                             assert_eq!(
@@ -1421,7 +1413,7 @@ mod tests {
             for q in &UniformGenerator::new(dim).generate(10, 52) {
                 base += tree.knn_traced(q, 10, KnnAlgorithm::Rkv, None).1.dist_evals;
                 tiered += tree
-                    .knn_traced_tiered(q, 10, KnnAlgorithm::Rkv, None, tier)
+                    .knn_traced_ordered(q, 10, KnnAlgorithm::Rkv, None, tier, ScanOrder::Natural)
                     .1
                     .dist_evals;
             }
@@ -1455,8 +1447,22 @@ mod tests {
         for tier in [ScanTier::F32, ScanTier::Q8] {
             for q in &UniformGenerator::new(dim).generate(10, 62) {
                 let bound = SharedBound::new();
-                let (lres, _) = lt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
-                let (rres, _) = rt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
+                let (lres, _) = lt.knn_traced_ordered(
+                    q,
+                    k,
+                    KnnAlgorithm::Rkv,
+                    Some(&bound),
+                    tier,
+                    ScanOrder::Natural,
+                );
+                let (rres, _) = rt.knn_traced_ordered(
+                    q,
+                    k,
+                    KnnAlgorithm::Rkv,
+                    Some(&bound),
+                    tier,
+                    ScanOrder::Natural,
+                );
                 let mut merged: Vec<Neighbor> = lres.into_iter().chain(rres).collect();
                 merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
                 merged.truncate(k);
@@ -1488,8 +1494,14 @@ mod tests {
         for tier in [ScanTier::F32, ScanTier::Q8] {
             for q in &UniformGenerator::new(dim).generate(6, 72) {
                 let k = 5;
-                let (want, want_stats) =
-                    forest_knn_traced_tiered(&refs, q, k, KnnAlgorithm::Rkv, tier);
+                let (want, want_stats) = forest_knn_traced_ordered(
+                    &refs,
+                    q,
+                    k,
+                    KnnAlgorithm::Rkv,
+                    tier,
+                    ScanOrder::Natural,
+                );
                 let mut stats = vec![SearchStats::default(); refs.len()];
                 let mut cursor = ForestCursor::with_tier(k, tier);
                 assert_eq!(cursor.tier(), tier);

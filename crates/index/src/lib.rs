@@ -33,7 +33,6 @@ pub mod incremental;
 pub mod kdtree;
 pub mod knn;
 pub mod lsh;
-pub mod metric_search;
 pub mod node;
 pub mod params;
 pub mod persist;
@@ -50,9 +49,8 @@ pub use gridfile::GridFile;
 pub use incremental::{incremental_forest, NnIterator};
 pub use kdtree::KdTree;
 pub use knn::{
-    forest_itinerary, forest_knn, forest_knn_traced, forest_knn_traced_ordered,
-    forest_knn_traced_tiered, ForestCursor, KnnAlgorithm, LeafScanner, Neighbor, ScanTier,
-    SearchStats, SharedBound,
+    forest_itinerary, forest_knn, forest_knn_traced, forest_knn_traced_ordered, ForestCursor,
+    KnnAlgorithm, LeafScanner, Neighbor, ScanTier, SearchStats, SharedBound,
 };
 pub use lsh::{LshConfig, LshTables};
 pub use node::energy_permutation;

@@ -164,9 +164,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Chooses how queries execute: scoped per-call threads (the default
-    /// reference implementation) or the persistent per-disk worker pool.
-    /// See [`ExecutionMode`].
+    /// Chooses who drives the query stages: the calling thread (the
+    /// default) or the persistent per-disk worker pool. See
+    /// [`ExecutionMode`].
     pub fn execution(mut self, execution: ExecutionMode) -> Self {
         self.execution = execution;
         self

@@ -1,9 +1,9 @@
 //! The parallel k-NN engine.
 //!
 //! The engine's shared, thread-safe state (disk array, per-disk trees,
-//! mirror trees) lives in an `EngineCore` behind an `Arc`, so both the
-//! scoped reference paths and the persistent worker pool of
-//! [`crate::pool`] execute the same per-disk steps against the same data.
+//! mirror trees) lives in an `EngineCore` behind an `Arc`, so the stage
+//! machine of [`crate::pool`] runs the same per-disk steps against the
+//! same data whether the caller's thread or a pool worker drives it.
 //!
 //! Since the streaming-ingest redesign the engine itself is a thin handle
 //! over an `EngineShared`: the swappable `EngineInner` (core + pool +
@@ -28,8 +28,7 @@ use parsim_decluster::replica::ReplicaRouting;
 use parsim_decluster::Declusterer;
 use parsim_geometry::{Point, QuadrantSplitter};
 use parsim_index::knn::{
-    forest_itinerary, forest_knn_traced_ordered, ForestCursor, Neighbor, ScanTier, SearchStats,
-    SharedBound,
+    forest_itinerary, ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound,
 };
 use parsim_index::{
     CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, ScanOrder,
@@ -46,7 +45,7 @@ use crate::obs::EngineMetrics;
 use crate::options::{
     ExecutionMode, FaultPolicy, QueryMode, QueryOptions, QueryResult, RetryPolicy,
 };
-use crate::pool::{Completion, PendingQuery, Phase, QueryTask, Stage, WorkerPool};
+use crate::pool::{self, Completion, PendingQuery, Phase, QueryTask, Stage, WorkerPool};
 use crate::serve::AdmissionConfig;
 use crate::EngineError;
 
@@ -66,8 +65,9 @@ pub(crate) type TracedAnswer = Result<(Vec<Neighbor>, QueryTrace), EngineError>;
 ///
 /// With [`EngineBuilder::execution`] set to [`ExecutionMode::Pooled`] the
 /// engine keeps one persistent worker thread per disk and queries are
-/// enqueued ([`ParallelKnnEngine::submit`]) instead of spawning threads;
-/// dropping the engine drains in-flight queries and joins the pool.
+/// enqueued ([`ParallelKnnEngine::submit`]) instead of running on the
+/// caller's thread; dropping the engine drains in-flight queries and
+/// joins the pool.
 ///
 /// With [`EngineBuilder::ingest`] the engine additionally accepts writes
 /// while queries run: [`ParallelKnnEngine::insert`] /
@@ -171,19 +171,15 @@ pub(crate) struct EngineCore {
     pub(crate) coalescers: Vec<Arc<CoalescingSink>>,
 }
 
-/// The mutable state of one degraded-mode query, shared verbatim by the
-/// scoped sequential loop and the pooled pipeline so both execute the
-/// paper's failure handling step-for-step identically (same retry draws,
-/// same failover order, same trace).
+/// The mutable state of one degraded-mode query of either tier. The
+/// stage machine runs it step for step identically whoever drives it
+/// (same retry draws, same failover order, same trace).
 pub(crate) struct DegradedState {
     pub(crate) timeout: Option<Duration>,
     pub(crate) retry: RetryPolicy,
-    /// Leaf-scan precision tier; rides in the state so primary and
-    /// failover searches of one query always scan at the same tier.
-    pub(crate) tier: ScanTier,
-    /// Scan-order knob; rides along for the same reason as the tier.
-    pub(crate) order: ScanOrder,
-    pub(crate) bound: SharedBound,
+    /// What one disk's share of the query is: a tree search or an LSH
+    /// bucket scan.
+    pub(crate) unit: Unit,
     pub(crate) extra_time: Vec<Duration>,
     pub(crate) candidates: Vec<Vec<Neighbor>>,
     pub(crate) down: Vec<usize>,
@@ -194,8 +190,26 @@ pub(crate) struct DegradedState {
     pub(crate) itinerary: Vec<(usize, usize)>,
     /// A down disk discovered (during planning) to have no mirrors: the
     /// query fails with `BucketUnavailable` *after* the itinerary built so
-    /// far has run, exactly as the sequential loop would.
+    /// far has run.
     pub(crate) error_after: Option<usize>,
+}
+
+/// The unit of work a degraded query runs on each disk it visits.
+pub(crate) enum Unit {
+    /// Exact tier: a tree search under the carried pruning bound. The
+    /// tier and scan order ride along so primary and failover searches
+    /// of one query always scan alike.
+    Tree {
+        bound: SharedBound,
+        tier: ScanTier,
+        order: ScanOrder,
+    },
+    /// Approximate tier: scans of the probe plan's buckets; a lost disk's
+    /// buckets are read from its mirror shard.
+    Lsh {
+        plan: Vec<DiskProbes>,
+        counters: LshCounters,
+    },
 }
 
 impl DegradedState {
@@ -203,15 +217,12 @@ impl DegradedState {
         disks: usize,
         timeout: Option<Duration>,
         retry: RetryPolicy,
-        tier: ScanTier,
-        order: ScanOrder,
+        unit: Unit,
     ) -> Self {
         DegradedState {
             timeout,
             retry,
-            tier,
-            order,
-            bound: SharedBound::new(),
+            unit,
             extra_time: vec![Duration::ZERO; disks],
             candidates: vec![Vec::new(); disks],
             down: Vec::new(),
@@ -220,6 +231,16 @@ impl DegradedState {
             retries_total: 0,
             itinerary: Vec::new(),
             error_after: None,
+        }
+    }
+
+    /// The disk of primary stop `pos`, or `None` once the primaries are
+    /// done: every disk in order for a tree search, the probe plan's
+    /// disks for an LSH scan.
+    pub(crate) fn primary_stop(&self, pos: usize, disks: usize) -> Option<usize> {
+        match &self.unit {
+            Unit::Tree { .. } => (pos < disks).then_some(pos),
+            Unit::Lsh { plan, .. } => plan.get(pos).map(|p| p.disk),
         }
     }
 }
@@ -257,20 +278,6 @@ impl EngineCore {
         if let Some(c) = self.coalescers.get(disk) {
             c.begin_wave(wave);
         }
-    }
-
-    /// Runs the deterministic forest search (the canonical batch path):
-    /// all trees under one bounded heap, visited in MINDIST order.
-    pub(crate) fn forest_search(
-        &self,
-        query: &Point,
-        k: usize,
-        tier: ScanTier,
-        order: ScanOrder,
-    ) -> (Vec<Neighbor>, Vec<SearchStats>) {
-        let guards: Vec<_> = self.trees.iter().map(|t| t.read()).collect();
-        let refs: Vec<&SpatialTree> = guards.iter().map(|g| &**g).collect();
-        forest_knn_traced_ordered(&refs, query, k, self.config.algorithm, tier, order)
     }
 
     /// The RKV itinerary of the current trees (see
@@ -313,6 +320,66 @@ impl EngineCore {
         )
     }
 
+    /// Runs a degraded query's unit of work on disk `d`'s data: the
+    /// primary tree or LSH shard when `host` is `None`, its mirror on
+    /// `host` otherwise.
+    fn degraded_search(
+        &self,
+        d: usize,
+        host: Option<usize>,
+        query: &Point,
+        k: usize,
+        unit: &mut Unit,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        match unit {
+            Unit::Tree { bound, tier, order } => {
+                let search = |tree: &SpatialTree| {
+                    let algorithm = self.config.algorithm;
+                    tree.knn_traced_ordered(query, k, algorithm, Some(bound), *tier, *order)
+                };
+                match host {
+                    None => search(&self.trees[d].read()),
+                    Some(host) => {
+                        let mirrors = self.mirrors[d].read();
+                        search(mirrors.get(&host).expect("planned failover host exists"))
+                    }
+                }
+            }
+            Unit::Lsh { plan, counters } => {
+                let lsh = self
+                    .lsh
+                    .as_ref()
+                    .expect("an Approx query needs the LSH tier");
+                let buckets = &plan
+                    .iter()
+                    .find(|p| p.disk == d)
+                    .expect("a degraded stop is on the probe plan")
+                    .buckets;
+                let mut stats = SearchStats::default();
+                let cands = match host {
+                    None => lsh.scan_disk(d, buckets, query, k, &mut stats, counters),
+                    Some(_) => lsh.scan_mirror(d, buckets, query, k, &mut stats, counters),
+                };
+                (cands, stats)
+            }
+        }
+    }
+
+    /// The flaky-read verdict of `pages` reads on `disk`: a flaky disk
+    /// replays its error stream under the retry policy, charging retries
+    /// and backoff to the disk. False means the disk is abandoned.
+    fn survives_flaky_reads(&self, disk: usize, pages: u64, state: &mut DegradedState) -> bool {
+        let faults = self.array.faults();
+        if !matches!(faults.fault(disk), Some(FaultKind::Flaky { .. })) {
+            return true;
+        }
+        let (retries, extra, ok) =
+            simulate_flaky_reads(faults, disk, pages, &state.retry, self.array.model());
+        state.retries_total += retries;
+        state.extra_time[disk] += extra;
+        ok
+    }
+
     /// The degraded primary step of one disk: skip it if hard-failed,
     /// otherwise search it, replay the flaky-read error stream, and apply
     /// the timeout budget. An unusable disk joins `state.down`.
@@ -329,23 +396,9 @@ impl EngineCore {
             state.down.push(disk);
             return;
         }
-        let (cands, s) = self.trees[disk].read().knn_traced_ordered(
-            query,
-            k,
-            self.config.algorithm,
-            Some(&state.bound),
-            state.tier,
-            state.order,
-        );
+        let (cands, s) = self.degraded_search(disk, None, query, k, &mut state.unit);
         stats[disk].merge(s);
-        let mut alive = true;
-        if matches!(faults.fault(disk), Some(FaultKind::Flaky { .. })) {
-            let (retries, extra, ok) =
-                simulate_flaky_reads(faults, disk, s.pages, &state.retry, self.array.model());
-            state.retries_total += retries;
-            state.extra_time[disk] += extra;
-            alive = ok;
-        }
+        let mut alive = self.survives_flaky_reads(disk, s.pages, state);
         if alive {
             if let Some(budget) = state.timeout {
                 let disk_time = faults
@@ -365,24 +418,30 @@ impl EngineCore {
     }
 
     /// Plans the failover itinerary once every primary step ran: each
-    /// non-empty down disk contributes its mirror hosts in ascending
-    /// order. A down disk with no mirrors truncates the plan and records
-    /// the error, preserving the sequential loop's fail-after-searching
-    /// order.
+    /// down disk contributes its mirror hosts in ascending order (a tree
+    /// disk holding no data needs none). A down disk with no mirror
+    /// truncates the plan and records the error, so the query fails only
+    /// after the stops before it ran.
     pub(crate) fn plan_failover(&self, state: &mut DegradedState) {
         for i in 0..state.down.len() {
             let d = state.down[i];
-            if self.trees[d].read().is_empty() {
-                continue;
-            }
-            let mirrors = self.mirrors[d].read();
-            if mirrors.is_empty() {
+            let hosts: Vec<usize> = match &state.unit {
+                Unit::Tree { .. } if self.trees[d].read().is_empty() => continue,
+                Unit::Tree { .. } => self.mirrors[d].read().keys().copied().collect(),
+                Unit::Lsh { .. } => self
+                    .lsh
+                    .as_ref()
+                    .and_then(|l| l.mirror_host(d))
+                    .into_iter()
+                    .collect(),
+            };
+            if hosts.is_empty() {
                 state.error_after = Some(d);
                 break;
             }
-            for &host in mirrors.keys() {
-                state.itinerary.push((d, host));
-            }
+            state
+                .itinerary
+                .extend(hosts.into_iter().map(|host| (d, host)));
         }
     }
 
@@ -399,30 +458,12 @@ impl EngineCore {
         stats: &mut [SearchStats],
     ) -> Result<(), EngineError> {
         let (d, host) = state.itinerary[pos];
-        let faults = self.array.faults();
-        if faults.is_failed(host) {
+        if self.array.faults().is_failed(host) {
             return Err(EngineError::BucketUnavailable { disk: d });
         }
-        let (cands, s) = {
-            let mirrors = self.mirrors[d].read();
-            let mirror = mirrors.get(&host).expect("planned failover host exists");
-            mirror.knn_traced_ordered(
-                query,
-                k,
-                self.config.algorithm,
-                Some(&state.bound),
-                state.tier,
-                state.order,
-            )
-        };
-        if matches!(faults.fault(host), Some(FaultKind::Flaky { .. })) {
-            let (retries, extra, ok) =
-                simulate_flaky_reads(faults, host, s.pages, &state.retry, self.array.model());
-            state.retries_total += retries;
-            state.extra_time[host] += extra;
-            if !ok {
-                return Err(EngineError::BucketUnavailable { disk: d });
-            }
+        let (cands, s) = self.degraded_search(d, Some(host), query, k, &mut state.unit);
+        if !self.survives_flaky_reads(host, s.pages, state) {
+            return Err(EngineError::BucketUnavailable { disk: d });
         }
         state.replica_pages += s.pages;
         stats[host].merge(s);
@@ -434,25 +475,24 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Merges a finished degraded query into its answer and trace: the
-    /// degraded critical path charges every disk its fault-scaled service
-    /// time plus retry backoff; timed-out disks charge the budget;
-    /// hard-failed disks charge nothing.
-    pub(crate) fn assemble_degraded(
+    /// Merges a finished degraded query into its answer and completes its
+    /// trace: the degraded critical path charges every disk its
+    /// fault-scaled service time plus retry backoff; timed-out disks
+    /// charge the budget; hard-failed disks charge nothing.
+    pub(crate) fn finish_degraded(
         &self,
         state: DegradedState,
         k: usize,
-        stats: &[SearchStats],
-        wall: Duration,
-    ) -> Result<(Vec<Neighbor>, QueryTrace), EngineError> {
+        trace: &mut QueryTrace,
+    ) -> Result<Vec<Neighbor>, EngineError> {
         if let Some(d) = state.error_after {
             return Err(EngineError::BucketUnavailable { disk: d });
         }
         let faults = self.array.faults();
         let model = self.array.model();
         let mut modeled_parallel = Duration::ZERO;
-        for (i, s) in stats.iter().enumerate().take(self.trees.len()) {
-            let mut t = faults.model_for(i, model).service_time(s.pages) + state.extra_time[i];
+        for (i, &pages) in trace.per_disk_pages.iter().enumerate() {
+            let mut t = faults.model_for(i, model).service_time(pages) + state.extra_time[i];
             if state.down.contains(&i) {
                 if faults.is_failed(i) {
                     t = Duration::ZERO;
@@ -462,8 +502,6 @@ impl EngineCore {
             }
             modeled_parallel = modeled_parallel.max(t);
         }
-        let merged = merge_candidates(state.candidates.iter().map(Vec::as_slice), k);
-        let mut trace = QueryTrace::from_stats(stats, wall, model);
         let healthy_parallel = trace.modeled_parallel;
         trace.modeled_parallel = modeled_parallel;
         trace.degraded = Some(DegradedInfo {
@@ -472,7 +510,14 @@ impl EngineCore {
             replica_pages: state.replica_pages,
             added_latency: modeled_parallel.saturating_sub(healthy_parallel),
         });
-        Ok((merged, trace))
+        let locals = state.candidates.iter().map(Vec::as_slice);
+        Ok(match state.unit {
+            Unit::Tree { .. } => merge_candidates(locals, k),
+            Unit::Lsh { counters, .. } => {
+                counters.fold_into(trace);
+                merge_unique_candidates(locals, k)
+            }
+        })
     }
 }
 
@@ -623,12 +668,14 @@ impl EngineInner {
         })
     }
 
-    /// Dispatches a dimension-checked query to the pool (pooled mode) or
-    /// computes it synchronously (scoped mode). `wave` groups queries
-    /// into one coalescing wave; `None` draws a fresh (private) wave.
-    /// `overlay` is the query's delta-buffer snapshot: the search runs
-    /// with `k` inflated by its tombstone count and the handle merges the
-    /// snapshot into the answer on [`PendingQuery::wait`].
+    /// Builds the query's task and runs it: hands it to the pool
+    /// (pooled mode) or drives it to completion on the calling thread
+    /// (scoped mode). Every query of every path is built and started
+    /// here. `wave` groups queries into one coalescing wave; `None` draws
+    /// a fresh (private) wave. `overlay` is the query's delta-buffer
+    /// snapshot: the search runs with `k` inflated by its tombstone count
+    /// and the handle merges the snapshot into the answer on
+    /// [`PendingQuery::wait`].
     pub(crate) fn submit_with_wave(
         &self,
         query: &Point,
@@ -636,431 +683,118 @@ impl EngineInner {
         wave: Option<u64>,
         overlay: Option<QueryOverlay>,
     ) -> Result<PendingQuery, EngineError> {
-        let (timeout, retry) = self.resolve_policy(opts);
-        let tier = opts.tier.unwrap_or(self.core.config.tier);
-        let order = opts.order.unwrap_or(self.core.config.order);
-        let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
-        let degraded = timeout.is_some() || self.core.array.faults().any_armed();
-        let model = *self.core.array.model();
-        if let QueryMode::Approx { probes } = opts.mode {
-            return self.submit_approx(
-                query, opts, probes, k, degraded, timeout, &retry, wave, overlay,
-            );
-        }
-        if let Some(m) = &self.core.metrics {
+        let core = &self.core;
+        let lsh = match opts.mode {
+            QueryMode::Exact => None,
+            QueryMode::Approx { probes } => Some((
+                core.lsh.as_ref().ok_or(EngineError::ApproxUnavailable)?,
+                probes,
+            )),
+        };
+        if let Some(m) = &core.metrics {
             m.record_start();
         }
-        let Some(pool) = &self.pool else {
-            // Scoped: answer now, return an already-complete handle.
-            let answer = if degraded {
-                self.knn_degraded(query, k, timeout, &retry, tier, order)
-            } else {
-                Ok(self.knn_healthy(query, k, tier, order))
-            };
-            if let Some(m) = &self.core.metrics {
-                match &answer {
-                    Ok((_, trace)) => m.record_query(trace, &model),
-                    Err(_) => m.record_failure(),
-                }
-            }
-            return Ok(PendingQuery::completed(answer, opts.trace, model).with_overlay(overlay));
-        };
-
-        let n = self.core.trees.len();
-        let completion = Arc::new(Completion::new());
-        let pending =
-            PendingQuery::new(Arc::clone(&completion), opts.trace, model).with_overlay(overlay);
-        let start = Instant::now();
-        let (first, stage) = if degraded {
-            (
-                0,
-                Stage::Degraded {
-                    state: DegradedState::new(n, timeout, retry, tier, order),
-                    phase: Phase::Primaries { next: 0 },
-                },
-            )
-        } else {
-            match self.core.config.algorithm {
-                KnnAlgorithm::Rkv => {
-                    let itinerary = self.core.itinerary(query);
-                    if k == 0 || itinerary.is_empty() {
-                        // Nothing to search: complete inline, matching the
-                        // forest search's early return. The overlay (if
-                        // any) still applies on wait.
-                        let stats = vec![SearchStats::default(); n];
-                        let trace = QueryTrace::from_stats(&stats, start.elapsed(), &model);
-                        if let Some(m) = &self.core.metrics {
-                            m.record_query(&trace, &model);
-                        }
-                        completion.complete(Ok((Vec::new(), trace)));
-                        return Ok(pending);
-                    }
-                    let first = itinerary[0].1;
-                    (
-                        first,
-                        Stage::Rkv {
-                            cursor: ForestCursor::with_tier_order(k, tier, order),
-                            itinerary,
-                            pos: 0,
-                        },
-                    )
-                }
-                KnnAlgorithm::Hs => {
-                    if k == 0 {
-                        let stats = vec![SearchStats::default(); n];
-                        let trace = QueryTrace::from_stats(&stats, start.elapsed(), &model);
-                        if let Some(m) = &self.core.metrics {
-                            m.record_query(&trace, &model);
-                        }
-                        completion.complete(Ok((Vec::new(), trace)));
-                        return Ok(pending);
-                    }
-                    (
-                        0,
-                        Stage::Hs {
-                            bound: SharedBound::new(),
-                            candidates: vec![Vec::new(); n],
-                            next: 0,
-                        },
-                    )
-                }
-            }
-        };
-        let deadline = opts
-            .deadline
-            .or(self.core.admission.and_then(|a| a.deadline));
-        let outcome = pool.submit(
-            first,
-            QueryTask {
-                query: query.clone(),
-                k,
-                tier,
-                order,
-                stats: vec![SearchStats::default(); n],
-                start,
-                stage,
-                completion,
-                wave: wave.unwrap_or_else(|| pool.next_wave()),
-                deadline_micros: deadline.map(|d| d.as_micros() as u64),
-                spent_micros: 0,
-                seq: 0,
-            },
-        );
-        match outcome {
-            Ok(()) => Ok(pending),
-            Err(e) => {
-                // The task never entered the system: surface the typed
-                // rejection instead of the (never-completing) handle.
-                if let Some(m) = &self.core.metrics {
-                    m.record_shed_overloaded();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// The scoped healthy fast path: one scoped thread per disk, shared
-    /// pruning bound, exact per-query trace — the paper's Var. 3 search.
-    fn knn_healthy(
-        &self,
-        query: &Point,
-        k: usize,
-        tier: ScanTier,
-        order: ScanOrder,
-    ) -> (Vec<Neighbor>, QueryTrace) {
-        let algorithm = self.core.config.algorithm;
-        let start = Instant::now();
-        let shared = SharedBound::new();
-        // One scoped thread per disk; each returns its local candidates
-        // and locally-counted work so the trace is exact per query.
-        let locals: Vec<_> = std::thread::scope(|s| {
-            let shared = &shared;
-            let handles: Vec<_> = self
-                .core
-                .trees
-                .iter()
-                .map(|tree| {
-                    s.spawn(move || {
-                        tree.read().knn_traced_ordered(
-                            query,
-                            k,
-                            algorithm,
-                            Some(shared),
-                            tier,
-                            order,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("per-disk search does not panic"))
-                .collect()
-        });
-        let wall = start.elapsed();
-        let merged = merge_candidates(locals.iter().map(|(c, _)| c.as_slice()), k);
-        let stats: Vec<_> = locals.iter().map(|(_, s)| *s).collect();
-        let trace = QueryTrace::from_stats(&stats, wall, self.core.array.model());
-        (merged, trace)
-    }
-
-    /// Degraded execution, scoped flavor: the same per-disk steps the
-    /// pooled pipeline runs ([`EngineCore::degraded_primary`] /
-    /// [`EngineCore::degraded_failover`]), driven sequentially so the
-    /// retry draws — and therefore the whole trace — are deterministic
-    /// for a given injector seed.
-    #[allow(clippy::too_many_arguments)]
-    fn knn_degraded(
-        &self,
-        query: &Point,
-        k: usize,
-        timeout: Option<Duration>,
-        retry: &RetryPolicy,
-        tier: ScanTier,
-        order: ScanOrder,
-    ) -> Result<(Vec<Neighbor>, QueryTrace), EngineError> {
-        let core = &self.core;
+        let (timeout, retry) = self.resolve_policy(opts);
+        let tier = opts.tier.unwrap_or(core.config.tier);
+        let order = opts.order.unwrap_or(core.config.order);
+        let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
         let n = core.trees.len();
         let start = Instant::now();
-        let mut stats = vec![SearchStats::default(); n];
-        let mut state = DegradedState::new(n, timeout, *retry, tier, order);
-        for disk in 0..n {
-            core.degraded_primary(disk, query, k, &mut state, &mut stats);
-        }
-        core.plan_failover(&mut state);
-        for pos in 0..state.itinerary.len() {
-            core.degraded_failover(pos, query, k, &mut state, &mut stats)?;
-        }
-        core.assemble_degraded(state, k, &stats, start.elapsed())
-    }
-
-    /// Dispatches one `Approx`-mode query: sequentially on a scoped
-    /// engine (and for degraded or trivial queries on a pooled one —
-    /// degraded failover needs the whole plan's outcome, so there is
-    /// nothing to pipeline), or as a [`Stage::Approx`] task traveling the
-    /// probe plan disk to disk on the healthy pooled path.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_approx(
-        &self,
-        query: &Point,
-        opts: &QueryOptions,
-        probes: usize,
-        k: usize,
-        degraded: bool,
-        timeout: Option<Duration>,
-        retry: &RetryPolicy,
-        wave: Option<u64>,
-        overlay: Option<QueryOverlay>,
-    ) -> Result<PendingQuery, EngineError> {
-        if self.core.lsh.is_none() {
-            return Err(EngineError::ApproxUnavailable);
-        }
-        let model = *self.core.array.model();
-        if let Some(m) = &self.core.metrics {
-            m.record_start();
-        }
-        let n = self.core.trees.len();
-        let pooled_healthy = self.pool.is_some() && !degraded && k > 0;
-        if !pooled_healthy {
-            let start = Instant::now();
-            let answer = if k == 0 {
-                let stats = vec![SearchStats::default(); n];
-                Ok((
-                    Vec::new(),
-                    QueryTrace::from_stats(&stats, start.elapsed(), &model),
-                ))
-            } else {
-                self.knn_approx(query, k, probes, degraded, timeout, retry)
-            };
-            if let Some(m) = &self.core.metrics {
-                match &answer {
-                    Ok((_, trace)) => m.record_query(trace, &model),
-                    Err(_) => m.record_failure(),
-                }
-            }
-            return Ok(PendingQuery::completed(answer, opts.trace, model).with_overlay(overlay));
-        }
-        let pool = self.pool.as_ref().expect("pooled_healthy implies a pool");
-        let lsh = self.core.lsh.as_ref().expect("checked above");
-        let plan = lsh.plan(query, probes);
-        let completion = Arc::new(Completion::new());
-        let pending =
-            PendingQuery::new(Arc::clone(&completion), opts.trace, model).with_overlay(overlay);
-        let first = plan[0].disk;
-        let deadline = opts
-            .deadline
-            .or(self.core.admission.and_then(|a| a.deadline));
-        let outcome = pool.submit(
-            first,
-            QueryTask {
-                query: query.clone(),
-                k,
-                tier: opts.tier.unwrap_or(self.core.config.tier),
-                order: opts.order.unwrap_or(self.core.config.order),
-                stats: vec![SearchStats::default(); n],
-                start: Instant::now(),
-                stage: Stage::Approx {
+        // An `Approx` query with nothing to find completes at once, even
+        // degraded: it reads no bucket.
+        let plan = lsh.map(|(l, probes)| match k {
+            0 => Vec::new(),
+            _ => l.plan(query, probes),
+        });
+        let degraded = (timeout.is_some() || core.array.faults().any_armed())
+            && plan.as_ref().map_or(true, |p| !p.is_empty());
+        let stage = if degraded {
+            let unit = match plan {
+                Some(plan) => Unit::Lsh {
                     plan,
-                    pos: 0,
-                    candidates: vec![Vec::new(); n],
                     counters: LshCounters::default(),
                 },
-                completion,
-                wave: wave.unwrap_or_else(|| pool.next_wave()),
-                deadline_micros: deadline.map(|d| d.as_micros() as u64),
-                spent_micros: 0,
-                seq: 0,
-            },
+                None => Unit::Tree {
+                    bound: SharedBound::new(),
+                    tier,
+                    order,
+                },
+            };
+            Stage::Degraded {
+                state: DegradedState::new(n, timeout, retry, unit),
+                phase: Phase::Primaries { pos: 0 },
+            }
+        } else if let Some(plan) = plan {
+            Stage::Approx {
+                plan,
+                pos: 0,
+                candidates: vec![Vec::new(); n],
+                counters: LshCounters::default(),
+            }
+        } else {
+            match core.config.algorithm {
+                KnnAlgorithm::Rkv => Stage::Rkv {
+                    cursor: ForestCursor::with_tier_order(k, tier, order),
+                    itinerary: match k {
+                        0 => Vec::new(),
+                        _ => core.itinerary(query),
+                    },
+                    pos: 0,
+                },
+                KnnAlgorithm::Hs => Stage::Hs {
+                    bound: SharedBound::new(),
+                    candidates: vec![Vec::new(); n],
+                    next: if k == 0 { n } else { 0 },
+                },
+            }
+        };
+        // The first disk to visit; `None` when there is nothing to
+        // search and the task completes on the spot.
+        let first = match &stage {
+            Stage::Rkv { itinerary, .. } => itinerary.first().map(|&(_, disk)| disk),
+            Stage::Hs { next, .. } => (*next < n).then_some(0),
+            Stage::Approx { plan, .. } => plan.first().map(|p| p.disk),
+            Stage::Degraded { state, .. } => state.primary_stop(0, n),
+        };
+        let completion = Arc::new(Completion::new());
+        let pending = PendingQuery::new(
+            Arc::clone(&completion),
+            opts.trace,
+            *core.array.model(),
+            overlay,
         );
-        match outcome {
-            Ok(()) => Ok(pending),
-            Err(e) => {
-                if let Some(m) = &self.core.metrics {
-                    m.record_shed_overloaded();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Sequential `Approx` execution (the reference implementation, also
-    /// the degraded path): scan the probe plan's buckets disk by disk,
-    /// failing lost disks over to their mirror shards exactly as the
-    /// exact tier's degraded loop fails trees over to mirror trees.
-    fn knn_approx(
-        &self,
-        query: &Point,
-        k: usize,
-        probes: usize,
-        degraded: bool,
-        timeout: Option<Duration>,
-        retry: &RetryPolicy,
-    ) -> Result<(Vec<Neighbor>, QueryTrace), EngineError> {
-        let core = &self.core;
-        let lsh = core.lsh.as_ref().expect("caller checked the LSH tier");
-        let n = core.trees.len();
-        let start = Instant::now();
-        let mut stats = vec![SearchStats::default(); n];
-        let mut counters = LshCounters::default();
-        let mut candidates: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        let plan = lsh.plan(query, probes.max(1));
-        if !degraded {
-            for dp in &plan {
-                candidates[dp.disk] = lsh.scan_disk(
-                    dp.disk,
-                    &dp.buckets,
-                    query,
-                    k,
-                    &mut stats[dp.disk],
-                    &mut counters,
-                );
-            }
-            let merged = merge_unique_candidates(candidates.iter().map(Vec::as_slice), k);
-            let mut trace = QueryTrace::from_stats(&stats, start.elapsed(), core.array.model());
-            trace.lsh_probes = counters.probes;
-            trace.lsh_candidates = counters.candidates;
-            trace.lsh_empty_probes = counters.empty_probes;
-            return Ok((merged, trace));
-        }
-        // Degraded: the same per-disk policy as the exact tier — a
-        // hard-failed disk is skipped, a flaky one replays its error
-        // stream under the retry policy, an over-budget one is abandoned
-        // (its pages stay charged, its answer is not trusted) — and every
-        // lost disk's probe targets are served from its mirror shard.
-        let faults = core.array.faults();
-        let model = core.array.model();
-        let mut extra_time = vec![Duration::ZERO; n];
-        let mut down: Vec<usize> = Vec::new();
-        let mut failed_over: Vec<usize> = Vec::new();
-        let mut retries_total = 0u64;
-        let mut replica_pages = 0u64;
-        let mut failover: Vec<&DiskProbes> = Vec::new();
-        for dp in &plan {
-            let disk = dp.disk;
-            if faults.is_failed(disk) {
-                down.push(disk);
-                failover.push(dp);
-                continue;
-            }
-            let mut local = SearchStats::default();
-            let cands = lsh.scan_disk(disk, &dp.buckets, query, k, &mut local, &mut counters);
-            stats[disk].merge(local);
-            let mut alive = true;
-            if matches!(faults.fault(disk), Some(FaultKind::Flaky { .. })) {
-                let (retries, extra, ok) =
-                    simulate_flaky_reads(faults, disk, local.pages, retry, model);
-                retries_total += retries;
-                extra_time[disk] += extra;
-                alive = ok;
-            }
-            if alive {
-                if let Some(budget) = timeout {
-                    let disk_time = faults
-                        .model_for(disk, model)
-                        .service_time(stats[disk].pages)
-                        + extra_time[disk];
-                    alive = disk_time <= budget;
-                }
-            }
-            if alive {
-                candidates[disk] = cands;
-            } else {
-                down.push(disk);
-                failover.push(dp);
-            }
-        }
-        for dp in failover {
-            let d = dp.disk;
-            let host = lsh
-                .mirror_host(d)
-                .ok_or(EngineError::BucketUnavailable { disk: d })?;
-            if faults.is_failed(host) {
-                return Err(EngineError::BucketUnavailable { disk: d });
-            }
-            let mut local = SearchStats::default();
-            let cands = lsh.scan_mirror(d, &dp.buckets, query, k, &mut local, &mut counters);
-            if matches!(faults.fault(host), Some(FaultKind::Flaky { .. })) {
-                let (retries, extra, ok) =
-                    simulate_flaky_reads(faults, host, local.pages, retry, model);
-                retries_total += retries;
-                extra_time[host] += extra;
-                if !ok {
-                    return Err(EngineError::BucketUnavailable { disk: d });
-                }
-            }
-            replica_pages += local.pages;
-            stats[host].merge(local);
-            candidates[host].extend(cands);
-            failed_over.push(d);
-        }
-        // The degraded critical path, fault-scaled exactly as
-        // `assemble_degraded` charges it for the exact tier.
-        let mut modeled_parallel = Duration::ZERO;
-        for (i, s) in stats.iter().enumerate() {
-            let mut t = faults.model_for(i, model).service_time(s.pages) + extra_time[i];
-            if down.contains(&i) {
-                if faults.is_failed(i) {
-                    t = Duration::ZERO;
-                } else if let Some(budget) = timeout {
-                    t = t.min(budget);
-                }
-            }
-            modeled_parallel = modeled_parallel.max(t);
-        }
-        let merged = merge_unique_candidates(candidates.iter().map(Vec::as_slice), k);
-        let mut trace = QueryTrace::from_stats(&stats, start.elapsed(), model);
-        let healthy_parallel = trace.modeled_parallel;
-        trace.modeled_parallel = modeled_parallel;
-        trace.degraded = Some(DegradedInfo {
-            failed_over,
-            retries: retries_total,
-            replica_pages,
-            added_latency: modeled_parallel.saturating_sub(healthy_parallel),
+        let deadline = opts.deadline.or(core.admission.and_then(|a| a.deadline));
+        let task = Box::new(QueryTask {
+            query: query.clone(),
+            k,
+            tier,
+            order,
+            stats: vec![SearchStats::default(); n],
+            start,
+            stage,
+            completion,
+            wave: wave
+                .or_else(|| self.pool.as_ref().map(WorkerPool::next_wave))
+                .unwrap_or(0),
+            deadline_micros: deadline.map(|d| d.as_micros() as u64),
+            spent_micros: 0,
+            seq: 0,
         });
-        trace.lsh_probes = counters.probes;
-        trace.lsh_candidates = counters.candidates;
-        trace.lsh_empty_probes = counters.empty_probes;
-        Ok((merged, trace))
+        match (first, &self.pool) {
+            (None, _) => pool::complete(core, *task),
+            (Some(first), None) => pool::run_inline(core, first, task),
+            (Some(first), Some(pool)) => {
+                if let Err(e) = pool.submit(first, task) {
+                    // The task never entered the system: surface the typed
+                    // rejection instead of the (never-completing) handle.
+                    if let Some(m) = &core.metrics {
+                        m.record_shed_overloaded();
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(pending)
     }
 
     fn resolve_policy(&self, opts: &QueryOptions) -> (Option<Duration>, RetryPolicy) {
@@ -1633,22 +1367,6 @@ impl ParallelKnnEngine {
         EngineShared::rebuild(&self.shared)
     }
 
-    /// Consuming shim for the pre-ingest API: reorganizes in place and
-    /// hands the engine back.
-    #[deprecated(note = "reorganize() is now non-consuming: call `engine.reorganize()` directly")]
-    pub fn into_reorganized(self) -> Result<Self, EngineError> {
-        self.reorganize()?;
-        Ok(self)
-    }
-
-    /// Shim for the pre-ingest delete API, which addressed points by
-    /// value and id; the point is no longer needed.
-    #[deprecated(note = "use remove(item): the write path addresses points by item id alone")]
-    pub fn delete(&self, point: &Point, item: u64) -> Result<(), EngineError> {
-        let _ = point;
-        self.remove(item)
-    }
-
     /// Answers one k-NN query under `opts` — the single entry point
     /// behind every legacy `knn*` method. Equivalent to
     /// [`ParallelKnnEngine::submit`] followed by [`PendingQuery::wait`].
@@ -1668,29 +1386,32 @@ impl ParallelKnnEngine {
         self.submit(query, opts)?.wait()
     }
 
-    /// Enqueues one k-NN query and returns a handle to wait on.
+    /// Submits one k-NN query and returns a handle to wait on.
+    ///
+    /// Every query runs the same stage machine: it travels disk by disk
+    /// along its MINDIST itinerary (RKV), or disk by disk with a carried
+    /// pruning bound (HS), or along its LSH probe plan (`Approx`), or
+    /// through the degraded primaries-then-failover stages when faults
+    /// are armed or a timeout budget applies.
     ///
     /// In [`ExecutionMode::Pooled`] the query is handed to the per-disk
-    /// worker pool and this call returns immediately; the query travels
-    /// worker-to-worker along its MINDIST itinerary (RKV), or disk by
-    /// disk with a carried pruning bound (HS), or through the degraded
-    /// state machine when faults are armed. Submitting many queries
-    /// before waiting pipelines them across the disks — while one query
-    /// searches disk 3, the next searches disk 1 — with no per-batch
-    /// barrier and no thread spawned.
+    /// worker pool and this call returns immediately. Submitting many
+    /// queries before waiting pipelines them across the disks — while one
+    /// query searches disk 3, the next searches disk 1 — with no
+    /// per-batch barrier and no thread spawned.
     ///
-    /// In [`ExecutionMode::Scoped`] the query is answered synchronously
-    /// (scoped threads, the reference implementation) and the returned
-    /// handle is already complete.
+    /// In [`ExecutionMode::Scoped`] the calling thread drives the stages
+    /// itself, disk after disk, and the returned handle is already
+    /// complete. No thread is started.
     ///
-    /// **Determinism.** With RKV (the default), pooled answers *and*
-    /// traces (`per_disk_pages`, `dist_evals`, pruning counters) are
-    /// bit-identical to the deterministic forest search that scoped
-    /// batches run — the itinerary pipeline replays it exactly. With HS,
-    /// answers are identical but page traces differ (the pooled pipeline
-    /// searches disk-by-disk under a carried bound; the scoped batch path
-    /// interleaves all disks through one global queue). Cache-hit
-    /// counters are execution-order dependent in all modes.
+    /// **Determinism.** Answers *and* traces (`per_disk_pages`,
+    /// `dist_evals`, pruning counters, the degraded record) are the same
+    /// in both modes, for single queries and batches alike; with RKV (the
+    /// default) they are bit-identical to the deterministic forest search.
+    /// With HS the page traces are execution-shaped: the stages search
+    /// disk by disk under a carried bound, where the forest search
+    /// interleaves all disks through one global queue. Cache-hit counters
+    /// depend on execution order when queries run concurrently.
     pub fn submit(&self, query: &Point, opts: &QueryOptions) -> Result<PendingQuery, EngineError> {
         let inner = self.shared.inner.read();
         if query.dim() != inner.core.config.dim {
@@ -1716,8 +1437,8 @@ impl ParallelKnnEngine {
     /// the wave still runs. Waiting on a handle can further return
     /// [`EngineError::DeadlineExceeded`] for queries shed mid-pipeline.
     ///
-    /// On a scoped (non-pooled) engine this degrades to per-query
-    /// submission: there are no waves to share reads within.
+    /// On a scoped (non-pooled) engine each query runs to completion as
+    /// it is submitted, so there are no waves to share reads within.
     pub fn submit_wave(
         &self,
         queries: &[Point],
@@ -1762,15 +1483,16 @@ impl ParallelKnnEngine {
     /// 1 — with no per-batch barrier ([`QueryOptions::workers`] is
     /// ignored; concurrency comes from the per-disk workers).
     ///
-    /// In [`ExecutionMode::Scoped`] the batch runs on a bounded scoped
-    /// worker pool ([`QueryOptions::workers`], defaulting to the host's
+    /// In [`ExecutionMode::Scoped`] the batch runs on a bounded set of
+    /// scoped threads ([`QueryOptions::workers`], defaulting to the host's
     /// available parallelism) in the paper's **inter-query** parallel
-    /// mode: each worker pulls the next unanswered query.
+    /// mode: each thread claims the next unanswered query and drives it
+    /// exactly as [`ParallelKnnEngine::query`] would.
     ///
     /// Results are in query order, each with its own exact [`QueryTrace`]
-    /// when tracing is on. With faults armed or a timeout budget set,
-    /// both modes run the same degraded execution as
-    /// [`ParallelKnnEngine::query`].
+    /// when tracing is on — the same trace a single query gets. With
+    /// faults armed or a timeout budget set, both modes run the degraded
+    /// stages of [`ParallelKnnEngine::query`].
     pub fn query_batch(
         &self,
         queries: &[Point],
@@ -1785,26 +1507,20 @@ impl ParallelKnnEngine {
                 });
             }
         }
+        let submit = |q: &Point| {
+            let overlay = self.shared.overlay_for(q, opts.k);
+            inner.submit_with_wave(q, opts, None, overlay)
+        };
         if inner.pool.is_some() {
             // Each query gets a private wave (batches don't coalesce —
             // use `query_wave` for read-sharing); the first admission
             // rejection aborts the batch, already-submitted queries
             // drain normally with their answers discarded.
-            let pending: Vec<PendingQuery> = queries
-                .iter()
-                .map(|q| {
-                    let overlay = self.shared.overlay_for(q, opts.k);
-                    inner.submit_with_wave(q, opts, None, overlay)
-                })
-                .collect::<Result<_, _>>()?;
+            let pending: Vec<PendingQuery> =
+                queries.iter().map(submit).collect::<Result<_, _>>()?;
             drop(inner);
             return pending.into_iter().map(PendingQuery::wait).collect();
         }
-        let (timeout, retry) = inner.resolve_policy(opts);
-        let tier = opts.tier.unwrap_or(inner.core.config.tier);
-        let order = opts.order.unwrap_or(inner.core.config.order);
-        let degraded = timeout.is_some() || inner.core.array.faults().any_armed();
-        let model = *inner.core.array.model();
         let next = AtomicUsize::new(0);
         let workers = opts
             .workers
@@ -1814,81 +1530,32 @@ impl ParallelKnnEngine {
                     .unwrap_or(1)
             })
             .clamp(1, queries.len().max(1));
-        let mut results: Vec<Option<TracedAnswer>> = (0..queries.len()).map(|_| None).collect();
-        let shared = &*self.shared;
-        let inner_ref = &*inner;
+        let mut results: Vec<Option<Result<QueryResult, EngineError>>> =
+            (0..queries.len()).map(|_| None).collect();
         std::thread::scope(|s| {
-            let next = &next;
-            let retry = &retry;
-            let core = &inner_ref.core;
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    s.spawn(move || {
+                    s.spawn(|| {
                         let mut out = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= queries.len() {
+                            let Some(q) = queries.get(i) else {
                                 return out;
-                            }
-                            let overlay = shared.overlay_for(&queries[i], opts.k);
-                            let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
-                            let answer = if let QueryMode::Approx { probes } = opts.mode {
-                                if core.lsh.is_none() {
-                                    Err(EngineError::ApproxUnavailable)
-                                } else {
-                                    inner_ref.knn_approx(
-                                        &queries[i],
-                                        k,
-                                        probes,
-                                        degraded,
-                                        timeout,
-                                        retry,
-                                    )
-                                }
-                            } else if degraded {
-                                inner_ref.knn_degraded(&queries[i], k, timeout, retry, tier, order)
-                            } else {
-                                let start = Instant::now();
-                                let (res, stats) = core.forest_search(&queries[i], k, tier, order);
-                                let trace = QueryTrace::from_stats(&stats, start.elapsed(), &model);
-                                Ok((res, trace))
                             };
-                            let answer = answer.map(|(neighbors, trace)| {
-                                let neighbors = match &overlay {
-                                    Some(o) => o.apply(neighbors),
-                                    None => neighbors,
-                                };
-                                (neighbors, trace)
-                            });
-                            if let Some(m) = &core.metrics {
-                                m.record_start();
-                                match &answer {
-                                    Ok((_, trace)) => m.record_query(trace, &model),
-                                    Err(_) => m.record_failure(),
-                                }
-                            }
-                            out.push((i, answer));
+                            out.push((i, submit(q).and_then(PendingQuery::wait)));
                         }
                     })
                 })
                 .collect();
             for h in handles {
-                for (i, answer) in h.join().expect("batch worker does not panic") {
-                    results[i] = Some(answer);
+                for (i, result) in h.join().expect("batch worker does not panic") {
+                    results[i] = Some(result);
                 }
             }
         });
         results
             .into_iter()
-            .map(|r| {
-                let (neighbors, trace) = r.expect("every query index was claimed by a worker")?;
-                let cost = trace.cost(&model);
-                Ok(QueryResult {
-                    neighbors,
-                    cost,
-                    trace: opts.trace.then_some(trace),
-                })
-            })
+            .map(|r| r.expect("every query index was claimed by a worker"))
             .collect()
     }
 
@@ -1941,49 +1608,6 @@ impl ParallelKnnEngine {
             .into_iter()
             .map(|r| (r.neighbors, r.trace.expect("trace was requested")))
             .collect())
-    }
-
-    /// Runs a k-NN query with **independent** per-disk searches: every
-    /// disk finds its local top-`k` to completion (no shared bound) and
-    /// the candidates are merged. This models a share-nothing cluster
-    /// without inter-node pruning traffic; it reads more pages than
-    /// [`ParallelKnnEngine::knn`] and is kept for the ablation benches.
-    pub fn knn_independent(
-        &self,
-        query: &Point,
-        k: usize,
-    ) -> Result<(Vec<Neighbor>, QueryCost), EngineError> {
-        let inner = self.shared.inner.read();
-        if query.dim() != inner.core.config.dim {
-            return Err(EngineError::DimensionMismatch {
-                expected: inner.core.config.dim,
-                got: query.dim(),
-            });
-        }
-        let overlay = self.shared.overlay_for(query, k);
-        let k_eff = k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
-        let scope = inner.core.array.begin_query();
-        let algorithm = inner.core.config.algorithm;
-
-        let mut locals: Vec<Vec<Neighbor>> = Vec::with_capacity(inner.core.trees.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = inner
-                .core
-                .trees
-                .iter()
-                .map(|tree| s.spawn(move || tree.read().knn(query, k_eff, algorithm)))
-                .collect();
-            for h in handles {
-                locals.push(h.join().expect("local knn does not panic"));
-            }
-        });
-
-        let merged = merge_candidates(locals.iter().map(Vec::as_slice), k_eff);
-        let merged = match &overlay {
-            Some(o) => o.apply(merged),
-            None => merged,
-        };
-        Ok((merged, scope.finish(&inner.core.array)))
     }
 
     /// A handle on the simulated disk array (for experiment accounting).
@@ -2421,20 +2045,9 @@ mod tests {
         assert_eq!(en.config().order, ScanOrder::Energy);
         for q in UniformGenerator::new(8).generate(8, 18) {
             for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
-                // Scoped batch at one worker: the only scoped path with
-                // deterministic work counters (the single-query path races
-                // per-disk threads on the shared bound).
-                let opts = QueryOptions::traced(10).with_tier(tier).with_workers(1);
-                let a = nat
-                    .query_batch(std::slice::from_ref(&q), &opts)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
-                let b = en
-                    .query_batch(std::slice::from_ref(&q), &opts)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
+                let opts = QueryOptions::traced(10).with_tier(tier);
+                let a = nat.query(&q, &opts).unwrap();
+                let b = en.query(&q, &opts).unwrap();
                 assert_eq!(a.neighbors.len(), b.neighbors.len());
                 for (x, y) in a.neighbors.iter().zip(&b.neighbors) {
                     assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{tier:?}");
@@ -2450,14 +2063,7 @@ mod tests {
         // checkpoint depth in the trace.
         let q = Point::new(vec![0.5; 8]).unwrap();
         let r = en
-            .query_batch(
-                std::slice::from_ref(&q),
-                &QueryOptions::traced(10)
-                    .with_order(ScanOrder::Energy)
-                    .with_workers(1),
-            )
-            .unwrap()
-            .pop()
+            .query(&q, &QueryOptions::traced(10).with_order(ScanOrder::Energy))
             .unwrap();
         let t = r.trace.unwrap();
         assert!(t.abandoned_rows > 0, "energy f64 filter never abandoned");

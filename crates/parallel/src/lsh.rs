@@ -9,8 +9,8 @@
 //! declusters its data buckets. Hamming-1 neighbor buckets get different
 //! colors, and multi-probe widening flips low-margin signature bits
 //! first, so the probe set of one query spreads over *different* disks
-//! and the thread-per-disk pipeline, deadline shedding, and fault
-//! handling of the worker pool carry over unchanged. A per-table disk
+//! and the stage machine's per-disk pipeline, deadline shedding, and
+//! fault handling carry over unchanged. A per-table disk
 //! rotation keeps the aggregate load balanced across tables.
 //!
 //! The runtime stores every row once: one flat `Vec<f64>` of all rows
@@ -34,6 +34,8 @@ use parsim_index::knn::{Neighbor, SearchStats};
 use parsim_index::{LshConfig, LshTables};
 use parsim_storage::PAGE_SIZE;
 
+use crate::metrics::QueryTrace;
+
 /// LSH-specific work counters of one query, carried next to the
 /// [`SearchStats`] and folded into the trace at completion.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,6 +47,15 @@ pub(crate) struct LshCounters {
     /// Probed buckets that held no rows — the recall proxy: a rising
     /// empty-probe share means the probe budget is wasted on vacuum.
     pub(crate) empty_probes: u64,
+}
+
+impl LshCounters {
+    /// Copies the counters into the query's trace.
+    pub(crate) fn fold_into(&self, trace: &mut QueryTrace) {
+        trace.lsh_probes = self.probes;
+        trace.lsh_candidates = self.candidates;
+        trace.lsh_empty_probes = self.empty_probes;
+    }
 }
 
 /// The probe targets of one query on one disk: every `(table, signature)`

@@ -15,20 +15,21 @@ use parsim_storage::QueryCost;
 
 use crate::metrics::QueryTrace;
 
-/// How the engine executes queries.
+/// Who drives a query's stages.
 ///
-/// [`ExecutionMode::Scoped`] is the reference implementation: every call
-/// spawns scoped threads (one per disk for a single query, a bounded
-/// claim-the-next-query pool for batches) that die with the call.
-/// [`ExecutionMode::Pooled`] starts one **persistent worker thread per
-/// disk** at build time; queries are enqueued and *pipelined* from worker
-/// to worker, so consecutive queries overlap across disks without a
-/// per-batch barrier and no thread is ever spawned on the query path.
-/// Answers are bit-identical in both modes; see
-/// [`crate::ParallelKnnEngine::submit`] for the trace guarantees.
+/// Both modes run the same stage machine, so answers and traces are the
+/// same in both; see [`crate::ParallelKnnEngine::submit`] for the trace
+/// guarantees. [`ExecutionMode::Scoped`] drives a query on the calling
+/// thread, disk after disk, and starts no thread for a single query
+/// ([`crate::ParallelKnnEngine::query_batch`] runs a bounded set of
+/// scoped threads, each claiming the next query). [`ExecutionMode::Pooled`]
+/// starts one **persistent worker thread per disk** at build time;
+/// queries are enqueued and *pipelined* from worker to worker, so
+/// consecutive queries overlap across disks without a per-batch barrier
+/// and no thread is ever spawned on the query path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Spawn scoped threads per call (the reference implementation).
+    /// The calling thread drives each query (the default).
     #[default]
     Scoped,
     /// Long-lived per-disk workers fed by submission queues.
@@ -148,12 +149,12 @@ pub struct QueryOptions {
     /// (clamped to at least 1; defaults to the host's available
     /// parallelism). Ignored by single-query execution.
     pub workers: Option<usize>,
-    /// Modeled end-to-end service-time budget for this query on the
-    /// serve layer: overrides [`crate::AdmissionConfig::deadline`] when
-    /// set. At every pipeline hop the pool compares the modeled service
-    /// time the query has consumed against the budget and sheds doomed
-    /// work with [`crate::EngineError::DeadlineExceeded`]. Ignored by
-    /// scoped execution (which computes eagerly).
+    /// Modeled end-to-end service-time budget for this query: overrides
+    /// [`crate::AdmissionConfig::deadline`] when set. At every hop from
+    /// one disk to the next the modeled service time the query has
+    /// consumed is compared against the budget, and doomed work is shed
+    /// with [`crate::EngineError::DeadlineExceeded`]. Applies in both
+    /// execution modes.
     pub deadline: Option<Duration>,
     /// Precision tier of the leaf scans for this query; overrides the
     /// engine's [`crate::EngineConfig::tier`] when set. Every tier

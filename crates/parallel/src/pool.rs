@@ -1,18 +1,28 @@
-//! The persistent per-disk worker pool — the throughput backbone of
-//! [`ExecutionMode::Pooled`](crate::ExecutionMode::Pooled).
+//! The query stage machine and its two drivers.
 //!
-//! One long-lived worker thread per disk, each owning that disk's subtree
-//! set: a worker only ever touches its own disk's primary tree and the
-//! mirror trees *hosted* on its disk. Workers are fed by per-disk
-//! `DiskQueue`s (bounded priority queues — FIFO by submission order
-//! until an [`crate::serve::AdmissionConfig`] asks for more); a query is
-//! one `QueryTask` that travels worker to worker along its execution
-//! itinerary (a **pipeline**, not a fan-out), carrying all of its mutable
-//! search state with it. Because the task hops disks in exactly the order
-//! the single-threaded reference search visits them, the pooled answer
-//! *and* trace are bit-identical to the deterministic forest search —
-//! while many queries pipeline through the disks concurrently with no
-//! per-query thread spawn and no per-batch barrier.
+//! Every k-NN query is one `QueryTask`: its immutable inputs plus all of
+//! its mutable search state, boxed so a hop moves a pointer, not the
+//! state. The task walks its execution itinerary disk by disk — a
+//! **pipeline**, not a fan-out — and at each disk the same per-hop rule
+//! runs: shed the task if its modeled deadline already passed, open its
+//! coalescing wave, run every consecutive step that belongs to this disk,
+//! and charge the pages read to its modeled budget. Because the task
+//! visits disks in exactly the order the single-threaded reference search
+//! visits them, answer *and* trace are bit-identical to the deterministic
+//! forest search, whoever drives it.
+//!
+//! Two drivers apply that rule:
+//!
+//! * [`ExecutionMode::Scoped`](crate::ExecutionMode::Scoped) runs the
+//!   hops inline on the caller's thread, disk after disk, with no queue
+//!   and no thread started.
+//! * [`ExecutionMode::Pooled`](crate::ExecutionMode::Pooled) keeps one
+//!   long-lived worker thread per disk, each owning that disk's subtree
+//!   set (its primary tree and the mirror trees *hosted* on it). Workers
+//!   are fed by per-disk `DiskQueue`s (bounded priority queues — FIFO by
+//!   submission order until an [`crate::serve::AdmissionConfig`] asks for
+//!   more), so many queries pipeline through the disks concurrently with
+//!   no per-query thread spawn and no per-batch barrier.
 //!
 //! Shutdown protocol: dropping the `WorkerPool` first **drains** — it
 //! waits until the in-flight counter hits zero, so no queued task can be
@@ -76,10 +86,10 @@ pub(crate) struct QueryTask {
     pub(crate) seq: u64,
 }
 
-/// The execution state machine of a pooled query.
+/// The execution state machine of a query.
 pub(crate) enum Stage {
     /// Healthy RKV: one [`ForestCursor`] walking the MINDIST itinerary —
-    /// the deterministic forest search, pipelined across workers.
+    /// the deterministic forest search, disk by disk.
     Rkv {
         /// The traveling search state.
         cursor: ForestCursor,
@@ -99,8 +109,7 @@ pub(crate) enum Stage {
         /// Next disk.
         next: usize,
     },
-    /// Degraded execution: the same per-disk steps as the scoped
-    /// sequential loop, pipelined primaries-then-failover.
+    /// Degraded execution of either tier: primaries, then failover.
     Degraded {
         /// The shared degraded state machine.
         state: DegradedState,
@@ -110,9 +119,7 @@ pub(crate) enum Stage {
     /// Healthy approximate execution: the query's LSH probe plan,
     /// grouped by owning disk and visited in ascending disk order. Each
     /// stop scans its buckets and keeps the disk-local top-k; the last
-    /// stop merges with cross-disk deduplication. (Degraded approximate
-    /// queries run sequentially — failover needs the whole plan's
-    /// outcome, so there is nothing to pipeline.)
+    /// stop merges with cross-disk deduplication.
     Approx {
         /// Probe targets grouped by owning disk, ascending.
         plan: Vec<DiskProbes>,
@@ -125,12 +132,13 @@ pub(crate) enum Stage {
     },
 }
 
-/// Progress marker of a degraded pooled query.
+/// Progress marker of a degraded query.
 pub(crate) enum Phase {
-    /// Primary searches, disk 0 through n-1 in order.
+    /// Primary stops, in the order [`DegradedState::primary_stop`] lists
+    /// them.
     Primaries {
-        /// Next disk to run its primary step.
-        next: usize,
+        /// Next primary stop.
+        pos: usize,
     },
     /// Failover stops planned by
     /// [`EngineCore::plan_failover`], executed on each mirror's host.
@@ -192,33 +200,25 @@ pub struct PendingQuery {
     trace: bool,
     model: DiskModel,
     /// The query's delta-buffer snapshot, merged into the answer on
-    /// wait. The pipeline itself searches with `k` inflated by the
+    /// wait. The stage machine itself searches with `k` inflated by the
     /// overlay's tombstone count; the merge here filters the tombstones,
     /// folds in the delta hits, and truncates back to the caller's `k`.
     overlay: Option<QueryOverlay>,
 }
 
 impl PendingQuery {
-    pub(crate) fn new(completion: Arc<Completion>, trace: bool, model: DiskModel) -> Self {
+    pub(crate) fn new(
+        completion: Arc<Completion>,
+        trace: bool,
+        model: DiskModel,
+        overlay: Option<QueryOverlay>,
+    ) -> Self {
         PendingQuery {
             completion,
             trace,
             model,
-            overlay: None,
+            overlay,
         }
-    }
-
-    /// An already-answered handle (the scoped path computes eagerly).
-    pub(crate) fn completed(answer: TracedAnswer, trace: bool, model: DiskModel) -> Self {
-        let completion = Arc::new(Completion::new());
-        completion.complete(answer);
-        PendingQuery::new(completion, trace, model)
-    }
-
-    /// Attaches the query's delta snapshot (see [`QueryOverlay`]).
-    pub(crate) fn with_overlay(mut self, overlay: Option<QueryOverlay>) -> Self {
-        self.overlay = overlay;
-        self
     }
 
     /// True once the answer is available and [`PendingQuery::wait`] will
@@ -342,7 +342,7 @@ impl WorkerPool {
     /// and lowered by the receiving worker, so the gauges drain back to
     /// zero exactly when the pool does (a rejected push lowers it again
     /// itself).
-    pub(crate) fn submit(&self, first: usize, mut task: QueryTask) -> Result<(), EngineError> {
+    pub(crate) fn submit(&self, first: usize, mut task: Box<QueryTask>) -> Result<(), EngineError> {
         task.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let budget = task.deadline_micros.unwrap_or(u64::MAX);
         let seq = task.seq;
@@ -350,7 +350,7 @@ impl WorkerPool {
         if let Some(m) = &self.metrics {
             m.queue_depth(first).inc();
         }
-        match self.queues[first].push_submit(budget, seq, Box::new(task)) {
+        match self.queues[first].push_submit(budget, seq, task) {
             Ok(()) => Ok(()),
             Err(depth) => {
                 if let Some(m) = &self.metrics {
@@ -377,37 +377,15 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One worker: pop a task, shed it if its modeled deadline already
-/// passed, open its coalescing wave, run every consecutive step that
-/// belongs to this disk, then either forward the task to the next disk's
-/// worker or complete it.
+/// One worker: pop a task, take it one hop on this disk, then either
+/// forward it to the next disk's worker or count it done.
 fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflight: &Inflight) {
     while let Some(task) = queues[disk].pop() {
         if let Some(m) = &core.metrics {
             m.queue_depth(disk).dec();
         }
-        // Deadline shed: the modeled service time already consumed
-        // exceeds the budget, so every further page read is wasted work —
-        // deliver the typed error now instead of a late answer.
-        if let Some(budget) = task.deadline_micros {
-            if task.spent_micros > budget {
-                if let Some(m) = &core.metrics {
-                    m.record_shed_deadline(task.spent_micros - budget);
-                }
-                task.completion.complete(Err(EngineError::DeadlineExceeded {
-                    budget_micros: budget,
-                    spent_micros: task.spent_micros,
-                }));
-                inflight.dec();
-                continue;
-            }
-        }
-        core.begin_wave(disk, task.wave);
-        let pages_before = task.stats[disk].pages;
-        match step(core, disk, task) {
-            Outcome::Forward(next, mut task) => {
-                let read = task.stats[disk].pages - pages_before;
-                task.spent_micros += core.array.model().service_time(read).as_micros() as u64;
+        match hop(core, disk, task) {
+            Outcome::Forward(next, task) => {
                 if let Some(m) = &core.metrics {
                     m.queue_depth(next).inc();
                 }
@@ -420,12 +398,54 @@ fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflig
     }
 }
 
-/// Result of running a task's local steps on one worker.
+/// The inline driver of a scoped engine: takes the task from disk
+/// `first` through every hop on the calling thread. The answer is in the
+/// task's completion when this returns.
+pub(crate) fn run_inline(core: &EngineCore, first: usize, task: Box<QueryTask>) {
+    let mut next = hop(core, first, task);
+    while let Outcome::Forward(disk, task) = next {
+        next = hop(core, disk, task);
+    }
+}
+
+/// Result of one hop.
 enum Outcome {
     /// The task's next step belongs to another disk.
     Forward(usize, Box<QueryTask>),
     /// The task completed (answer or error delivered).
     Done,
+}
+
+/// The per-hop rule both drivers apply at `disk`: shed the task if its
+/// modeled deadline already passed, open its coalescing wave, run every
+/// consecutive step that belongs to this disk, and charge the pages read
+/// to its modeled budget before it moves on.
+fn hop(core: &EngineCore, disk: usize, task: Box<QueryTask>) -> Outcome {
+    // Deadline shed: the modeled service time already consumed exceeds
+    // the budget, so every further page read is wasted work — deliver
+    // the typed error now instead of a late answer.
+    if let Some(budget) = task.deadline_micros {
+        if task.spent_micros > budget {
+            if let Some(m) = &core.metrics {
+                m.record_shed_deadline(task.spent_micros - budget);
+            }
+            task.completion.complete(Err(EngineError::DeadlineExceeded {
+                budget_micros: budget,
+                spent_micros: task.spent_micros,
+            }));
+            return Outcome::Done;
+        }
+    }
+    core.begin_wave(disk, task.wave);
+    let pages_before = task.stats[disk].pages;
+    match step(core, disk, task) {
+        Outcome::Forward(next, mut task) => {
+            let read = task.stats[disk].pages - pages_before;
+            task.spent_micros += core.array.model().service_time(read).as_micros() as u64;
+            Outcome::Forward(next, task)
+        }
+        Outcome::Done => Outcome::Done,
+    }
 }
 
 /// Advances `task` as far as this disk can, then forwards or completes.
@@ -503,18 +523,18 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
             ref mut phase,
         } => loop {
             match phase {
-                Phase::Primaries { next } => {
-                    if *next >= core.trees.len() {
+                Phase::Primaries { pos } => {
+                    let Some(stop) = state.primary_stop(*pos, core.trees.len()) else {
                         core.plan_failover(state);
                         *phase = Phase::Failover { pos: 0 };
                         continue;
-                    }
-                    if *next != disk {
-                        forward = Some(*next);
+                    };
+                    if stop != disk {
+                        forward = Some(stop);
                         break;
                     }
                     core.degraded_primary(disk, &task.query, task.k, state, &mut task.stats);
-                    *next += 1;
+                    *pos += 1;
                 }
                 Phase::Failover { pos } => {
                     if *pos >= state.itinerary.len() {
@@ -554,8 +574,8 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
 }
 
 /// Finishes a task whose itinerary is exhausted: merge, build the trace,
-/// deliver the answer.
-fn complete(core: &EngineCore, task: QueryTask) {
+/// record it, deliver the answer. The one place a query is recorded.
+pub(crate) fn complete(core: &EngineCore, task: QueryTask) {
     let QueryTask {
         k,
         stats,
@@ -564,39 +584,32 @@ fn complete(core: &EngineCore, task: QueryTask) {
         completion,
         ..
     } = task;
-    let wall = start.elapsed();
+    let mut trace = QueryTrace::from_stats(&stats, start.elapsed(), core.array.model());
     let answer = match stage {
-        Stage::Rkv { cursor, .. } => {
-            let neighbors = cursor.finish();
-            let trace = QueryTrace::from_stats(&stats, wall, core.array.model());
-            Ok((neighbors, trace))
-        }
+        Stage::Rkv { cursor, .. } => Ok(cursor.finish()),
         Stage::Hs { candidates, .. } => {
-            let merged = merge_candidates(candidates.iter().map(Vec::as_slice), k);
-            let trace = QueryTrace::from_stats(&stats, wall, core.array.model());
-            Ok((merged, trace))
+            Ok(merge_candidates(candidates.iter().map(Vec::as_slice), k))
         }
         Stage::Approx {
             candidates,
             counters,
             ..
         } => {
-            let merged = merge_unique_candidates(candidates.iter().map(Vec::as_slice), k);
-            let mut trace = QueryTrace::from_stats(&stats, wall, core.array.model());
-            trace.lsh_probes = counters.probes;
-            trace.lsh_candidates = counters.candidates;
-            trace.lsh_empty_probes = counters.empty_probes;
-            Ok((merged, trace))
+            counters.fold_into(&mut trace);
+            Ok(merge_unique_candidates(
+                candidates.iter().map(Vec::as_slice),
+                k,
+            ))
         }
-        Stage::Degraded { state, .. } => core.assemble_degraded(state, k, &stats, wall),
+        Stage::Degraded { state, .. } => core.finish_degraded(state, k, &mut trace),
     };
     // Record before delivery so a snapshot taken after `wait` returns
     // always sees this query.
     if let Some(m) = &core.metrics {
         match &answer {
-            Ok((_, trace)) => m.record_query(trace, core.array.model()),
+            Ok(_) => m.record_query(&trace, core.array.model()),
             Err(_) => m.record_failure(),
         }
     }
-    completion.complete(answer);
+    completion.complete(answer.map(|neighbors| (neighbors, trace)));
 }

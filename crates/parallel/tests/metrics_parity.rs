@@ -16,7 +16,8 @@ use parsim_datagen::{ClusteredGenerator, CorrelatedGenerator, DataGenerator};
 use parsim_geometry::Point;
 use parsim_obs::RegistrySnapshot;
 use parsim_parallel::{
-    ExecutionMode, FaultPolicy, ParallelKnnEngine, QueryTrace, RetryPolicy, ScanTier,
+    EngineError, ExecutionMode, FaultPolicy, ParallelKnnEngine, QueryOptions, QueryTrace,
+    RetryPolicy, ScanTier,
 };
 
 const DIM: usize = 6;
@@ -220,6 +221,41 @@ fn batch_paths_keep_parity() {
     }
 }
 
+/// An `Approx` query on an engine without an LSH tier is rejected before
+/// it starts, on every path: single queries and batches, in both modes.
+/// No query counter moves and the typed error comes back.
+#[test]
+fn approx_without_a_tier_is_rejected_before_start() {
+    let points = clustered_points();
+    let queries = clustered_queries();
+    let opts = QueryOptions::approx(K, 2);
+    for execution in [ExecutionMode::Scoped, ExecutionMode::Pooled] {
+        let engine = engine(&points, execution, 0);
+        assert!(matches!(
+            engine.query(&queries[0], &opts),
+            Err(EngineError::ApproxUnavailable)
+        ));
+        assert!(matches!(
+            engine.submit(&queries[0], &opts),
+            Err(EngineError::ApproxUnavailable)
+        ));
+        for workers in [1, 2] {
+            assert!(matches!(
+                engine.query_batch(&queries, &opts.with_workers(workers)),
+                Err(EngineError::ApproxUnavailable)
+            ));
+        }
+        let s = engine.metrics().unwrap().snapshot();
+        for name in [
+            "parsim_queries_started_total",
+            "parsim_queries_completed_total",
+            "parsim_queries_failed_total",
+        ] {
+            assert_eq!(s.counter_total(name), 0, "{execution:?}: {name}");
+        }
+    }
+}
+
 /// A cheap-tier workload keeps parity too, with the phase-1 counters
 /// actually firing: the registry's `lb_evals`/`rerank_evals` totals equal
 /// the trace sums in both execution modes.
@@ -356,12 +392,8 @@ fn registry_survives_reorganize_with_exact_parity() {
 /// byte-identical Prometheus-text and JSON exports: nothing wall-clock
 /// leaks into the registry.
 ///
-/// The workload drives each mode's deterministic execution path: the
-/// scoped batch forest search on one worker, and the pooled RKV pipeline
-/// one query at a time. (The scoped single-query path races per-disk
-/// threads on the shared pruning bound, so its *work counters* are
-/// legitimately run-to-run dependent — determinism is a property of the
-/// recorded execution, and the registry adds no wall-clock on top.)
+/// The workload runs one query at a time, so even the cache counters
+/// replay exactly; the registry adds no wall-clock on top.
 #[test]
 fn exports_are_byte_identical_across_runs() {
     let points = correlated_points();
@@ -369,15 +401,8 @@ fn exports_are_byte_identical_across_runs() {
     for execution in [ExecutionMode::Scoped, ExecutionMode::Pooled] {
         let render = || {
             let engine = engine(&points, execution, 0);
-            match execution {
-                ExecutionMode::Scoped => {
-                    engine.knn_batch_with(&queries, K, 1).unwrap();
-                }
-                ExecutionMode::Pooled => {
-                    for q in &queries {
-                        engine.knn_traced(q, K).unwrap();
-                    }
-                }
+            for q in &queries {
+                engine.knn_traced(q, K).unwrap();
             }
             let s = engine.metrics().unwrap().snapshot();
             (s.to_prometheus(), s.to_json())

@@ -61,12 +61,9 @@ proptest! {
         let en = build(&pts, ScanOrder::Energy, 0);
         for q in &queries {
             for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
-                // Scoped batch at one worker: the only scoped path whose
-                // work counters are deterministic (the single-query path
-                // races per-disk threads on the shared bound).
-                let opts = QueryOptions::traced(k).with_tier(tier).with_workers(1);
-                let a = nat.query_batch(std::slice::from_ref(q), &opts).unwrap().pop().unwrap();
-                let b = en.query_batch(std::slice::from_ref(q), &opts).unwrap().pop().unwrap();
+                let opts = QueryOptions::traced(k).with_tier(tier);
+                let a = nat.query(q, &opts).unwrap();
+                let b = en.query(q, &opts).unwrap();
                 prop_assert_eq!(a.neighbors.len(), b.neighbors.len());
                 for (x, y) in a.neighbors.iter().zip(&b.neighbors) {
                     prop_assert_eq!(x.dist.to_bits(), y.dist.to_bits());

@@ -7,12 +7,15 @@
 //! per-query traces must account for every page the shared disks served —
 //! even while many queries run concurrently.
 
+use std::time::Duration;
+
 use parsim_datagen::{ClusteredGenerator, CorrelatedGenerator, DataGenerator, UniformGenerator};
 use parsim_geometry::Point;
 use parsim_index::knn::{brute_force_knn, Neighbor};
 use parsim_index::KnnAlgorithm;
 use parsim_parallel::{
-    EngineConfig, ExecutionMode, ParallelKnnEngine, QueryOptions, ScanTier, SequentialEngine,
+    EngineConfig, ExecutionMode, ParallelKnnEngine, QueryOptions, QueryTrace, ScanTier,
+    SequentialEngine,
 };
 
 const DIM: usize = 8;
@@ -116,9 +119,8 @@ fn batch_traces_account_for_every_page_served() {
 
 #[test]
 fn threaded_traces_account_for_every_page_served() {
-    // Same accounting identity for the intra-query (per-disk threads)
-    // path: the trace of each query counts exactly the pages its threads
-    // charged to the disks.
+    // Same accounting identity for single queries: the trace of each
+    // query counts exactly the pages it charged to the disks.
     let (par, _, queries) = setup(KnnAlgorithm::Rkv);
     let scope = par.array().begin_query();
     let mut summed = vec![0u64; DISKS];
@@ -146,8 +148,14 @@ fn shared_bound_prunes_work() {
         let (_, trace) = par.knn_traced(q, 10).unwrap();
         bounded += trace.total_pages();
         pruned += trace.candidates_pruned;
-        let (_, cost) = par.knn_independent(q, 10).unwrap();
-        independent += cost.total_reads;
+        // Independent search: every disk runs its local top-k to
+        // completion with no shared bound.
+        let array = par.array();
+        let scope = array.begin_query();
+        par.for_each_tree(|tree| {
+            tree.knn(q, 10, KnnAlgorithm::Rkv);
+        });
+        independent += scope.finish(&array).total_reads;
     }
     assert!(pruned > 0, "no subtree was ever pruned over the workload");
     assert!(
@@ -169,9 +177,8 @@ fn cached_engine_reports_cache_hits() {
     let (_, cold) = par.knn_traced(q, 10).unwrap();
     assert_eq!(cold.cache_hits, 0, "first query cannot hit an empty cache");
     let (_, warm) = par.knn_traced(q, 10).unwrap();
-    // Identical query, ample cache: the repeat is (at least partly —
-    // thread interleaving may shift the visited set slightly) served from
-    // memory. Every tree re-reads its root, so hits are guaranteed.
+    // Identical query, ample cache: the repeat is served from memory.
+    // Every tree re-reads its root, so hits are guaranteed.
     assert!(warm.cache_hits > 0, "second run should hit the cache");
 }
 
@@ -477,4 +484,48 @@ fn batch_handles_edge_cases() {
     // Dimension mismatch is rejected.
     let wrong = Point::new(vec![0.5; DIM + 1]).unwrap();
     assert!(par.knn_batch_with(&[wrong], 1, 2).is_err());
+}
+
+/// A trace with its measured wall time cleared: every other field is a
+/// deterministic function of the query and the engine state.
+fn work_trace(mut trace: QueryTrace) -> QueryTrace {
+    trace.wall_time = Duration::ZERO;
+    trace
+}
+
+#[test]
+fn scoped_single_query_replays_the_pooled_trace() {
+    // One stage machine answers every query: a scoped single query runs
+    // it inline, so its whole trace — healthy and degraded — equals the
+    // pooled query's and the scoped batch's.
+    let pts = ClusteredGenerator::new(DIM, 8, 0.03).generate(4000, 21);
+    let queries = ClusteredGenerator::new(DIM, 8, 0.03).generate(16, 77);
+    let build = |execution| {
+        ParallelKnnEngine::builder(DIM)
+            .disks(DISKS)
+            .replicas(1)
+            .execution(execution)
+            .build(&pts)
+            .unwrap()
+    };
+    let scoped = build(ExecutionMode::Scoped);
+    let pooled = build(ExecutionMode::Pooled);
+    for degraded in [false, true] {
+        if degraded {
+            scoped.faults().fail(3);
+            pooled.faults().fail(3);
+        }
+        let opts = QueryOptions::traced(10);
+        let batch = scoped.query_batch(&queries, &opts.with_workers(2)).unwrap();
+        for (qi, (q, b)) in queries.iter().zip(batch).enumerate() {
+            let s = scoped.query(q, &opts).unwrap();
+            let p = pooled.query(q, &opts).unwrap();
+            assert_eq!(s.neighbors, p.neighbors, "q{qi}");
+            assert_eq!(s.neighbors, b.neighbors, "q{qi}");
+            let st = work_trace(s.trace.unwrap());
+            assert_eq!(st.degraded.is_some(), degraded, "q{qi}");
+            assert_eq!(st, work_trace(p.trace.unwrap()), "scoped vs pooled, q{qi}");
+            assert_eq!(st, work_trace(b.trace.unwrap()), "single vs batch, q{qi}");
+        }
+    }
 }

@@ -35,8 +35,8 @@
 //!
 //! ## Batched queries and per-query traces
 //!
-//! [`ParallelKnnEngine::knn`](parallel::ParallelKnnEngine::knn) runs one
-//! thread per disk (the paper's Var. 3 shared-bound search);
+//! [`ParallelKnnEngine::knn`](parallel::ParallelKnnEngine::knn) runs the
+//! paper's Var. 3 search disk by disk under one carried pruning bound;
 //! [`ParallelKnnEngine::knn_batch`](parallel::ParallelKnnEngine::knn_batch)
 //! answers a whole workload on a bounded worker pool. Both report a
 //! [`QueryTrace`](parallel::QueryTrace) with per-disk page counts, pruning and cache counters,
@@ -101,9 +101,9 @@ pub mod prelude {
     };
     pub use parsim_geometry::{Euclidean, HyperRect, Metric, Point, QuadrantSplitter};
     pub use parsim_index::{
-        forest_knn, forest_knn_traced, forest_knn_traced_tiered, CachingSink, KnnAlgorithm,
-        Neighbor, NnIterator, ScanTier, SearchStats, SharedBound, SpatialTree, TreeParams,
-        TreeVariant,
+        forest_knn, forest_knn_traced, forest_knn_traced_ordered, CachingSink, KnnAlgorithm,
+        Neighbor, NnIterator, ScanOrder, ScanTier, SearchStats, SharedBound, SpatialTree,
+        TreeParams, TreeVariant,
     };
     pub use parsim_parallel::{
         run_knn_workload, run_traced_workload, AdmissionConfig, DeclusteredXTree, DegradedInfo,

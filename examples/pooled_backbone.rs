@@ -17,8 +17,8 @@ fn main() {
     let data = UniformGenerator::new(dim).generate(n, 42);
     let queries = UniformGenerator::new(dim).generate(32, 7);
 
-    // Two engines over the same points: the scoped reference (threads
-    // spawned per query) and the persistent per-disk worker pool.
+    // Two engines over the same points: scoped (the caller's thread
+    // drives each query) and the persistent per-disk worker pool.
     let scoped = ParallelKnnEngine::builder(dim)
         .disks(disks)
         .build(&data)
@@ -46,7 +46,7 @@ fn main() {
         .map(|h| h.wait().expect("query succeeds"))
         .collect();
 
-    // Same queries on the scoped reference batch path.
+    // Same queries on the scoped batch path.
     let scoped_results = scoped.knn_batch(&queries, k).expect("batch runs");
 
     // The backbone guarantee: answers AND the deterministic RKV traces
