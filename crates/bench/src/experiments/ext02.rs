@@ -3,18 +3,17 @@
 //! The paper's argument for parallelism rests on its companion cost model:
 //! the expected number of pages a sequential NN query reads explodes with
 //! the dimension. Here the executable model
-//! ([`parsim_index::predict_leaf_accesses`]) is compared against measured
+//! ([`crate::costmodel::predict_leaf_accesses`]) is compared against measured
 //! leaf accesses of the simulator across dimensions.
 
 use std::sync::Arc;
 
 use parsim_datagen::{DataGenerator, UniformGenerator};
 use parsim_geometry::Point;
-use parsim_index::{
-    predict_leaf_accesses, DiskSink, KnnAlgorithm, SpatialTree, TreeParams, TreeVariant,
-};
+use parsim_index::{DiskSink, KnnAlgorithm, SpatialTree, TreeParams, TreeVariant};
 use parsim_storage::SimDisk;
 
+use crate::costmodel::predict_leaf_accesses;
 use crate::report::{fmt, ExperimentReport};
 
 use super::common::{scaled, uniform_queries};

@@ -13,10 +13,13 @@ use std::sync::Arc;
 
 use parsim_datagen::{DataGenerator, UniformGenerator};
 use parsim_geometry::Point;
-use parsim_index::{GridFile, KdTree, KnnAlgorithm, SpatialTree, TreeParams, TreeVariant, TvTree};
+use parsim_index::{KnnAlgorithm, SpatialTree, TreeParams, TreeVariant};
 use parsim_storage::SimDisk;
 
+use crate::gridfile::{self, GridFile};
+use crate::kdtree::KdTree;
 use crate::report::{fmt, ExperimentReport};
+use crate::tvtree::TvTree;
 
 use super::common::{scaled, uniform_queries};
 
@@ -39,7 +42,7 @@ pub fn run(scale: f64) -> ExperimentReport {
         // Welch grid: the finest grid the cell budget allows (≥ 2/axis).
         let side = (2usize..=64)
             .rev()
-            .find(|s| (*s as u128).pow(dim as u32) <= parsim_index::gridfile::MAX_CELLS as u128)
+            .find(|s| (*s as u128).pow(dim as u32) <= gridfile::MAX_CELLS as u128)
             .unwrap_or(2);
         let grid_disk = Arc::new(SimDisk::new(0));
         let grid = GridFile::build(items.clone(), side)

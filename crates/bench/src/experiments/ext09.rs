@@ -136,38 +136,6 @@ pub fn measure(scale: f64) -> Vec<BackboneRow> {
     rows
 }
 
-/// Renders the rows as the committed `BENCH_pr4.json` document (built with
-/// plain formatting — the workspace carries no JSON serializer).
-pub fn to_json(rows: &[BackboneRow], scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr4-query-backbone\",\n");
-    out.push_str("  \"experiment\": \"ext9\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str("  \"dim\": 8,\n  \"k\": 5,\n  \"queries\": 64,\n  \"batch_repeats\": 3,\n");
-    out.push_str(
-        "  \"note\": \"modeled_* columns are host-independent (paper disk model over identical \
-         page traces); measured_* columns are wall-clock on the build host\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"disks\": {}, \"mode\": \"{}\", \"measured_qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"modeled_makespan_ms\": {:.4}, \
-             \"modeled_qps\": {:.1}}}{}\n",
-            r.disks,
-            r.mode,
-            r.measured_qps,
-            r.p50_ms,
-            r.p99_ms,
-            r.modeled_makespan_ms,
-            r.modeled_qps,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Runs the backbone throughput sweep and tabulates it.
 pub fn run(scale: f64) -> ExperimentReport {
     let rows = measure(scale);

@@ -62,7 +62,7 @@ pub struct ServeRow {
 }
 
 /// Everything `measure` learns: the sweep plus the reconciliation facts
-/// the JSON document and the report notes both cite.
+/// the report notes cite.
 pub struct ServeMeasurement {
     /// Queries in the live trace batch (`WAVES * WAVE_SIZE`).
     pub queries: usize,
@@ -255,56 +255,6 @@ pub fn measure(scale: f64) -> ServeMeasurement {
         sat_coalesced_qps,
         rows,
     }
-}
-
-/// Renders the measurement as the committed `BENCH_pr6.json` document
-/// (plain formatting — the workspace carries no JSON serializer).
-pub fn to_json(m: &ServeMeasurement, scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr6-open-loop-serve\",\n");
-    out.push_str("  \"experiment\": \"ext11\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!(
-        "  \"dim\": {DIM},\n  \"disks\": {DISKS},\n  \"k\": {K},\n"
-    ));
-    out.push_str(&format!(
-        "  \"waves\": {WAVES},\n  \"wave_size\": {WAVE_SIZE},\n  \"queries\": {},\n  \
-         \"open_loop_arrivals\": {ARRIVALS},\n",
-        m.queries
-    ));
-    out.push_str(&format!(
-        "  \"logical_pages\": {},\n  \"coalesced_reads\": {},\n  \
-         \"registry_coalesced_reads\": {},\n",
-        m.logical_pages, m.trace_coalesced, m.registry_coalesced
-    ));
-    out.push_str(&format!(
-        "  \"saturation_qps\": {{\"plain\": {:.1}, \"coalesced\": {:.1}}},\n",
-        m.sat_plain_qps, m.sat_coalesced_qps
-    ));
-    out.push_str(
-        "  \"note\": \"all columns are modeled and host-independent: per-disk physical service \
-         demand (logical pages minus coalesced reads) from live engine traces under the paper's \
-         disk model, replayed open-loop in whole-wave arrivals (the serve layer's submission \
-         unit); a coalesced-only query still waits for the backlog carrying the read it rides; \
-         latency percentiles are read off a parsim-obs log-bucketed histogram (~25% bucket \
-         resolution)\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in m.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"offered\": {:.2}, \"offered_qps\": {:.1}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}{}\n",
-            r.mode,
-            r.offered,
-            r.offered_qps,
-            r.p50_ms,
-            r.p99_ms,
-            r.p999_ms,
-            if i + 1 < m.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Runs the open-loop serve sweep and tabulates it.

@@ -62,16 +62,6 @@ pub struct TierRow {
     pub exact: bool,
 }
 
-/// Everything `measure` learns: the sweep plus its fixed shape facts.
-pub struct TierMeasurement {
-    /// Points per dataset.
-    pub points: usize,
-    /// Queries per dataset.
-    pub queries: usize,
-    /// The sweep, grouped by dataset, tiers in f64/f32/q8 order.
-    pub rows: Vec<TierRow>,
-}
-
 fn datasets(n: usize) -> Vec<(&'static str, Vec<Point>, Vec<Point>)> {
     vec![
         (
@@ -94,7 +84,7 @@ fn datasets(n: usize) -> Vec<(&'static str, Vec<Point>, Vec<Point>)> {
 
 /// Runs every (dataset, tier) cell, asserting bit-identical answers
 /// against the pure-f64 tier of the same engine.
-pub fn measure(scale: f64) -> TierMeasurement {
+pub fn measure(scale: f64) -> Vec<TierRow> {
     let n = scaled(6_000, scale);
     let mut rows = Vec::new();
     for (dataset, pts, queries) in datasets(n) {
@@ -145,63 +135,15 @@ pub fn measure(scale: f64) -> TierMeasurement {
             });
         }
     }
-    TierMeasurement {
-        points: n,
-        queries: QUERIES,
-        rows,
-    }
-}
-
-/// Renders the measurement as the committed `BENCH_pr7.json` document
-/// (plain formatting — the workspace carries no JSON serializer).
-pub fn to_json(m: &TierMeasurement, scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr7-two-tier-leaf-scan\",\n");
-    out.push_str("  \"experiment\": \"ext12\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!(
-        "  \"dim\": {DIM},\n  \"disks\": {DISKS},\n  \"k\": {K},\n"
-    ));
-    out.push_str(&format!(
-        "  \"points_per_dataset\": {},\n  \"queries_per_dataset\": {},\n",
-        m.points, m.queries
-    ));
-    out.push_str(
-        "  \"note\": \"f64_evals/lb_evals/rerank_evals are host-independent trace counters \
-         (exact f64 rows started, phase-1 low-precision rows scanned, survivors re-ranked); \
-         modeled_mb is the bandwidth proxy 8B/4B/1B per coordinate for f64/f32/q8 rows; \
-         measured_ms is wall-clock of the single-worker deterministic batch on the build host \
-         and is indicative only; exact means every neighbor distance was bit-identical to the \
-         f64 tier\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in m.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"tier\": \"{}\", \"f64_evals\": {}, \"lb_evals\": {}, \
-             \"rerank_evals\": {}, \"modeled_mb\": {:.3}, \"measured_ms\": {:.3}, \
-             \"exact\": {}}}{}\n",
-            r.dataset,
-            r.tier,
-            r.f64_evals,
-            r.lb_evals,
-            r.rerank_evals,
-            r.modeled_mb,
-            r.measured_ms,
-            r.exact,
-            if i + 1 < m.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    rows
 }
 
 /// Runs the tier sweep and tabulates it.
 pub fn run(scale: f64) -> ExperimentReport {
-    let m = measure(scale);
+    let rows = measure(scale);
     let reduction = |dataset: &str| -> (f64, f64) {
         let evals = |tier: &str| -> f64 {
-            m.rows
-                .iter()
+            rows.iter()
                 .find(|r| r.dataset == dataset && r.tier == tier)
                 .map(|r| r.f64_evals as f64)
                 .unwrap_or(0.0)
@@ -228,8 +170,7 @@ pub fn run(scale: f64) -> ExperimentReport {
             "measured ms".into(),
             "exact".into(),
         ],
-        rows: m
-            .rows
+        rows: rows
             .iter()
             .map(|r| {
                 vec![

@@ -81,16 +81,6 @@ pub struct OrderRow {
     pub exact: bool,
 }
 
-/// Everything `measure` learns: the sweep plus its fixed shape facts.
-pub struct OrderMeasurement {
-    /// Points per dataset.
-    pub points: usize,
-    /// Queries per dataset.
-    pub queries: usize,
-    /// The sweep, grouped by dataset, then order, tiers in f64/f32/q8 order.
-    pub rows: Vec<OrderRow>,
-}
-
 fn datasets(n: usize) -> Vec<(&'static str, usize, Vec<Point>, Vec<Point>)> {
     vec![
         (
@@ -116,7 +106,7 @@ fn datasets(n: usize) -> Vec<(&'static str, usize, Vec<Point>, Vec<Point>)> {
 
 /// Runs every (dataset, order, tier) cell, asserting bit-identical
 /// answers against the natural-order pure-f64 scan of the same data.
-pub fn measure(scale: f64) -> OrderMeasurement {
+pub fn measure(scale: f64) -> Vec<OrderRow> {
     let n = scaled(6_000, scale);
     let mut rows = Vec::new();
     for (dataset, dim, pts, queries) in datasets(n) {
@@ -197,67 +187,14 @@ pub fn measure(scale: f64) -> OrderMeasurement {
             }
         }
     }
-    OrderMeasurement {
-        points: n,
-        queries: QUERIES,
-        rows,
-    }
-}
-
-/// Renders the measurement as the committed `BENCH_pr9.json` document
-/// (plain formatting — the workspace carries no JSON serializer).
-pub fn to_json(m: &OrderMeasurement, scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr9-energy-ordered-scan-layout\",\n");
-    out.push_str("  \"experiment\": \"ext14\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!("  \"disks\": {DISKS},\n  \"k\": {K},\n"));
-    out.push_str(&format!(
-        "  \"points_per_dataset\": {},\n  \"queries_per_dataset\": {},\n",
-        m.points, m.queries
-    ));
-    out.push_str(
-        "  \"note\": \"f64_evals/lb_evals/rerank_evals/abandoned_rows/abandon_checkpoints are \
-         host-independent trace counters; mean_abandon_depth is 4*checkpoints/rows in \
-         coordinates; rerank_frac is the phase-1 survivor fraction rerank_evals/lb_evals; \
-         measured_ms is wall-clock of the single-worker deterministic batch on the build host \
-         and is indicative only; exact means every neighbor (item, distance-bits) matched the \
-         natural-order f64 scan\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in m.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"dim\": {}, \"order\": \"{}\", \"tier\": \"{}\", \
-             \"f64_evals\": {}, \"lb_evals\": {}, \"rerank_evals\": {}, \
-             \"abandoned_rows\": {}, \"abandon_checkpoints\": {}, \
-             \"mean_abandon_depth\": {:.3}, \"rerank_frac\": {:.4}, \"measured_ms\": {:.3}, \
-             \"exact\": {}}}{}\n",
-            r.dataset,
-            r.dim,
-            r.order,
-            r.tier,
-            r.f64_evals,
-            r.lb_evals,
-            r.rerank_evals,
-            r.abandoned_rows,
-            r.abandon_checkpoints,
-            r.mean_abandon_depth,
-            r.rerank_frac,
-            r.measured_ms,
-            r.exact,
-            if i + 1 < m.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    rows
 }
 
 /// Runs the scan-order sweep and tabulates it.
 pub fn run(scale: f64) -> ExperimentReport {
-    let m = measure(scale);
+    let rows = measure(scale);
     let cell = |dataset: &str, order: &str, tier: &str| -> Option<&OrderRow> {
-        m.rows
-            .iter()
+        rows.iter()
             .find(|r| r.dataset == dataset && r.order == order && r.tier == tier)
     };
     let depth = |dataset: &str, order: &str| -> f64 {
@@ -287,8 +224,7 @@ pub fn run(scale: f64) -> ExperimentReport {
             "measured ms".into(),
             "exact".into(),
         ],
-        rows: m
-            .rows
+        rows: rows
             .iter()
             .map(|r| {
                 vec![

@@ -65,14 +65,10 @@ pub struct FrontierRow {
 
 /// Everything `measure` learns: the frontier plus its fixed shape facts.
 pub struct FrontierMeasurement {
-    /// Points per dataset.
-    pub points: usize,
     /// Queries per dataset.
     pub queries: usize,
     /// LSH tables fitted per engine.
     pub tables: usize,
-    /// Hyperplanes (signature bits) per table.
-    pub hyperplanes: usize,
     /// The sweep, grouped by dataset, exact row first.
     pub rows: Vec<FrontierRow>,
 }
@@ -244,10 +240,8 @@ pub fn measure(scale: f64) -> FrontierMeasurement {
     // BENCH_pr10.json runs at 6 000).
     if n < 2_000 {
         return FrontierMeasurement {
-            points: n,
             queries: QUERIES,
             tables: TABLES,
-            hyperplanes: HYPERPLANES,
             rows,
         };
     }
@@ -268,63 +262,10 @@ pub fn measure(scale: f64) -> FrontierMeasurement {
             .collect::<Vec<_>>(),
     );
     FrontierMeasurement {
-        points: n,
         queries: QUERIES,
         tables: TABLES,
-        hyperplanes: HYPERPLANES,
         rows,
     }
-}
-
-/// Renders the measurement as the committed `BENCH_pr10.json` document
-/// (plain formatting — the workspace carries no JSON serializer).
-pub fn to_json(m: &FrontierMeasurement, scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr10-declustered-lsh-approximate-tier\",\n");
-    out.push_str("  \"experiment\": \"ext15\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!(
-        "  \"disks\": {DISKS},\n  \"dim\": {DIM},\n  \"k\": {K},\n"
-    ));
-    out.push_str(&format!(
-        "  \"tables\": {},\n  \"hyperplanes\": {},\n",
-        m.tables, m.hyperplanes
-    ));
-    out.push_str(&format!(
-        "  \"points_per_dataset\": {},\n  \"queries_per_dataset\": {},\n",
-        m.points, m.queries
-    ));
-    out.push_str(
-        "  \"note\": \"recall is mean recall@k against brute-force ground truth; modeled_qps is \
-         queries divided by the summed modeled_parallel trace time under the shared disk model \
-         (host-independent); qps_vs_exact normalizes by the dataset's exact cell; lsh_probes/\
-         lsh_candidates/empty_probe_frac are the Approx funnel (zero on exact rows); the \
-         acceptance bar recall>=0.9 at >=2x exact QPS on a clustered cell is asserted inside \
-         measure()\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in m.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"mode\": \"{}\", \"probes\": {}, \"recall\": {:.4}, \
-             \"modeled_qps\": {:.1}, \"qps_vs_exact\": {:.2}, \"mean_pages\": {:.1}, \
-             \"dist_evals\": {}, \"lsh_probes\": {}, \"lsh_candidates\": {}, \
-             \"empty_probe_frac\": {:.4}}}{}\n",
-            r.dataset,
-            r.mode,
-            r.probes,
-            r.recall,
-            r.modeled_qps,
-            r.qps_vs_exact,
-            r.mean_pages,
-            r.dist_evals,
-            r.lsh_probes,
-            r.lsh_candidates,
-            r.empty_probe_frac,
-            if i + 1 < m.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Runs the recall/throughput frontier sweep and tabulates it.

@@ -24,12 +24,22 @@
 //! cargo run --release -p parsim-bench --bin figures -- all
 //! cargo run --release -p parsim-bench --bin figures -- fig13 --scale 2.0
 //! ```
+//!
+//! The paper's comparison points live here too, beside the experiments
+//! that measure them, not in the engine's index crate: the Section-2
+//! survey structures [`gridfile`] (Welch's grid), [`kdtree`] (the FBF
+//! k-d-tree) and [`tvtree`] (a TV-style telescope tree), run by `ext5`,
+//! and the \[BBKK 97\] cost model [`costmodel`], checked by `ext2`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod costmodel;
 pub mod experiments;
+pub mod gridfile;
+pub mod kdtree;
 pub mod report;
 pub mod svg;
+pub mod tvtree;
 
 pub use report::ExperimentReport;

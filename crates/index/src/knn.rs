@@ -16,10 +16,10 @@
 //! page count), via [`SpatialTree::charge_visit`].
 //!
 //! Every search also counts its own work into a [`SearchStats`], and the
-//! bounded entry points accept a [`SharedBound`] — the atomically shared
-//! pruning bound of the paper's parallel variant 3, where every disk runs
-//! its local search concurrently and publishes its k-th-best distance so
-//! the other disks can prune against the global state of the query.
+//! bounded entry points accept a [`SharedBound`] — the pruning bound of
+//! the paper's parallel variant 3, carried from disk to disk: each disk's
+//! search publishes its k-th-best distance so the disks searched after it
+//! prune against the global state of the query.
 //!
 //! Leaf scans run through a [`LeafScanner`] at a configurable
 //! [`ScanTier`]: the cheap tiers first sweep the leaf's f32 or int8 mirror
@@ -150,9 +150,10 @@ impl SearchStats {
 
 /// The shared pruning bound of the paper's parallel search (Var. 3).
 ///
-/// Each per-disk search thread publishes its local k-th-best squared
-/// distance with [`SharedBound::tighten`]; every thread prunes against
-/// [`SharedBound::get`], the minimum published so far. The global k-th
+/// One bound travels with a query from disk to disk: each disk's search
+/// publishes its local k-th-best squared distance with
+/// [`SharedBound::tighten`] and prunes against [`SharedBound::get`], the
+/// minimum published so far. The global k-th
 /// nearest distance is never larger than any disk's local k-th best, so
 /// pruning against the shared bound keeps the merged result exact while
 /// reading fewer pages than independent local searches.
@@ -197,12 +198,12 @@ impl SpatialTree {
 
     /// Like [`SpatialTree::knn`], but returns the search's work counters
     /// and optionally prunes against a [`SharedBound`] published by
-    /// concurrent searches of the same query on other trees.
+    /// searches of the same query on other trees.
     ///
     /// With a shared bound the returned list is this tree's **candidate
     /// set** for the global query: every point of the global k nearest
     /// that lives in this tree is present, but locally farther points may
-    /// be cut early by the other threads' published bounds. Merge the
+    /// be cut early by the bounds the other trees published. Merge the
     /// candidates of all trees to obtain the exact global answer.
     pub fn knn_traced(
         &self,
@@ -1013,7 +1014,9 @@ impl BoundedMaxHeap {
     }
 
     /// Offers a candidate row; the point is materialized only if it enters
-    /// the heap (rejected candidates cost no allocation).
+    /// the heap (rejected candidates cost no allocation). A full heap admits
+    /// a candidate that precedes its worst entry in the heap's own order,
+    /// so a row tied at the k-th distance with a smaller id displaces it.
     fn offer(&mut self, dist2: f64, row: &[f64], item: u64) {
         if self.heap.len() < self.k {
             self.heap.push(HeapNeighbor {
@@ -1021,7 +1024,12 @@ impl BoundedMaxHeap {
                 item,
                 point: Point::from_vec(row.to_vec()),
             });
-        } else if dist2 < self.worst() {
+        } else if self.heap.peek().is_some_and(|worst| {
+            dist2
+                .total_cmp(&worst.dist2)
+                .then(item.cmp(&worst.item))
+                .is_lt()
+        }) {
             self.heap.push(HeapNeighbor {
                 dist2,
                 item,

@@ -26,11 +26,7 @@
 pub mod bulk;
 pub mod caching;
 pub mod coalesce;
-pub mod costmodel;
-pub mod graphnn;
-pub mod gridfile;
 pub mod incremental;
-pub mod kdtree;
 pub mod knn;
 pub mod lsh;
 pub mod node;
@@ -39,15 +35,10 @@ pub mod persist;
 pub mod range;
 pub mod stats;
 pub mod tree;
-pub mod tvtree;
 
 pub use caching::{CachingSink, DEFAULT_CACHE_SHARDS};
 pub use coalesce::CoalescingSink;
-pub use costmodel::{predict_leaf_accesses, CostPrediction};
-pub use graphnn::GraphIndex;
-pub use gridfile::GridFile;
 pub use incremental::{incremental_forest, NnIterator};
-pub use kdtree::KdTree;
 pub use knn::{
     forest_itinerary, forest_knn, forest_knn_traced, forest_knn_traced_ordered, ForestCursor,
     KnnAlgorithm, LeafScanner, Neighbor, ScanTier, SearchStats, SharedBound,
@@ -58,7 +49,6 @@ pub use params::{ScanOrder, TreeParams, TreeVariant};
 pub use persist::{PersistError, PersistedTree};
 pub use stats::TreeStats;
 pub use tree::{DiskSink, NodeSink, SpatialTree, VisitOutcome};
-pub use tvtree::TvTree;
 
 /// Errors produced by the index.
 #[derive(Debug, Clone, PartialEq)]

@@ -42,16 +42,16 @@ pub struct DegradedInfo {
 /// [`serde::Serialize::to_json`] for offline analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryTrace {
-    /// Pages requested from each disk by this query, counted locally in
-    /// the search threads — exact for this query even while other queries
-    /// run against the same disks concurrently.
+    /// Pages requested from each disk by this query, counted by the
+    /// query's own task as it visits the disk — exact for this query even
+    /// while other queries run against the same disks concurrently.
     pub per_disk_pages: Vec<u64>,
     /// Subtrees discarded by the pruning bound without being read.
     pub candidates_pruned: u64,
     /// Page requests absorbed by the per-disk caches during this query
-    /// (always 0 for an uncached engine). Counted in the search threads
-    /// themselves, so the figure is exact for this query even when other
-    /// cached queries run against the same disks concurrently.
+    /// (always 0 for an uncached engine). Counted by the query's own
+    /// task, so the figure is exact for this query even when other cached
+    /// queries run against the same disks concurrently.
     pub cache_hits: u64,
     /// Per-disk node visits that rode a physical read another query of
     /// the same submission wave already performed (always all-zero
@@ -220,8 +220,8 @@ impl WorkloadCost {
     }
 
     /// Aggregates a batch of per-query traces into a workload cost, so
-    /// trace-based runs ([`ParallelKnnEngine::knn_batch`]) report the same
-    /// figures as the scope-based runners.
+    /// trace-based runs ([`run_traced_workload`]) report the same figures
+    /// as the cost-based runners.
     pub fn from_traces(traces: &[QueryTrace], model: &DiskModel) -> WorkloadCost {
         let costs: Vec<QueryCost> = traces.iter().map(|t| t.cost(model)).collect();
         WorkloadCost::from_costs(&costs)
@@ -251,8 +251,8 @@ pub fn run_knn_workload(
     Ok(WorkloadCost::from_costs(&costs))
 }
 
-/// Runs a k-NN workload through the traced per-disk-threaded path and
-/// returns the aggregate cost together with the raw per-query traces.
+/// Runs a k-NN workload one traced query at a time and returns the
+/// aggregate cost together with the raw per-query traces.
 pub fn run_traced_workload(
     engine: &ParallelKnnEngine,
     queries: &[Point],

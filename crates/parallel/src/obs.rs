@@ -33,6 +33,71 @@ use parsim_storage::{CacheMetrics, DiskModel, FaultMetrics};
 
 use crate::metrics::QueryTrace;
 
+/// One trace-derived counter: its name, its help text and the
+/// [`QueryTrace`] field it sums.
+type TraceCounter = (&'static str, &'static str, fn(&QueryTrace) -> u64);
+
+/// The scalar counters read straight off a completed query's trace, in
+/// registration order. [`EngineMetrics::new`] registers one counter per
+/// row and `EngineMetrics::record_query` adds each row's field.
+const TRACE_COUNTERS: [TraceCounter; 11] = [
+    (
+        "parsim_candidates_pruned_total",
+        "Subtrees discarded by the pruning bound",
+        |t| t.candidates_pruned,
+    ),
+    (
+        "parsim_dist_evals_total",
+        "Point-distance evaluations started in leaf scans",
+        |t| t.dist_evals,
+    ),
+    (
+        "parsim_dist_evals_saved_total",
+        "Candidates whose full f64 distance was never computed (early abandon or lower-bound filter)",
+        |t| t.dist_evals_saved,
+    ),
+    (
+        "parsim_lb_evals_total",
+        "Phase-1 low-precision lower-bound kernel evaluations in leaf scans",
+        |t| t.lb_evals,
+    ),
+    (
+        "parsim_rerank_evals_total",
+        "Phase-1 survivors re-ranked by the exact f64 batch kernel",
+        |t| t.rerank_evals,
+    ),
+    (
+        "parsim_abandoned_rows_total",
+        "Rows abandoned mid-scan by a bounded distance kernel",
+        |t| t.abandoned_rows,
+    ),
+    (
+        "parsim_abandon_checkpoints_total",
+        "4-coordinate checkpoints executed by abandoned rows before the bound was crossed",
+        |t| t.abandon_checkpoints,
+    ),
+    (
+        "parsim_query_cache_hits_total",
+        "Page requests absorbed by the per-disk caches during queries",
+        |t| t.cache_hits,
+    ),
+    (
+        "parsim_lsh_probes_total",
+        "LSH buckets probed by Approx-mode queries, over all tables and disks",
+        |t| t.lsh_probes,
+    ),
+    (
+        "parsim_lsh_candidates_total",
+        "Unique LSH candidate rows exactly re-ranked by Approx-mode queries",
+        |t| t.lsh_candidates,
+    ),
+    (
+        "parsim_lsh_empty_probes_total",
+        "Probed LSH buckets that held no rows (recall proxy: wasted probe budget)",
+        |t| t.lsh_empty_probes,
+    ),
+];
+
 /// All cumulative instruments of one engine. See the module docs.
 #[derive(Debug)]
 pub struct EngineMetrics {
@@ -42,17 +107,8 @@ pub struct EngineMetrics {
     queries_failed: Arc<Counter>,
     queries_degraded: Arc<Counter>,
     pages: Vec<Arc<Counter>>,
-    candidates_pruned: Arc<Counter>,
-    dist_evals: Arc<Counter>,
-    dist_evals_saved: Arc<Counter>,
-    lb_evals: Arc<Counter>,
-    rerank_evals: Arc<Counter>,
-    abandoned_rows: Arc<Counter>,
-    abandon_checkpoints: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    lsh_probes: Arc<Counter>,
-    lsh_candidates: Arc<Counter>,
-    lsh_empty_probes: Arc<Counter>,
+    /// One counter per [`TRACE_COUNTERS`] row, in the table's order.
+    trace_counters: Vec<Arc<Counter>>,
     retries: Arc<Counter>,
     replica_pages: Arc<Counter>,
     shed_overloaded: Arc<Counter>,
@@ -109,61 +165,10 @@ impl EngineMetrics {
                 )
             })
             .collect();
-        let candidates_pruned = r.counter(
-            "parsim_candidates_pruned_total",
-            "Subtrees discarded by the pruning bound",
-            &[],
-        );
-        let dist_evals = r.counter(
-            "parsim_dist_evals_total",
-            "Point-distance evaluations started in leaf scans",
-            &[],
-        );
-        let dist_evals_saved = r.counter(
-            "parsim_dist_evals_saved_total",
-            "Candidates whose full f64 distance was never computed (early abandon or lower-bound filter)",
-            &[],
-        );
-        let lb_evals = r.counter(
-            "parsim_lb_evals_total",
-            "Phase-1 low-precision lower-bound kernel evaluations in leaf scans",
-            &[],
-        );
-        let rerank_evals = r.counter(
-            "parsim_rerank_evals_total",
-            "Phase-1 survivors re-ranked by the exact f64 batch kernel",
-            &[],
-        );
-        let abandoned_rows = r.counter(
-            "parsim_abandoned_rows_total",
-            "Rows abandoned mid-scan by a bounded distance kernel",
-            &[],
-        );
-        let abandon_checkpoints = r.counter(
-            "parsim_abandon_checkpoints_total",
-            "4-coordinate checkpoints executed by abandoned rows before the bound was crossed",
-            &[],
-        );
-        let cache_hits = r.counter(
-            "parsim_query_cache_hits_total",
-            "Page requests absorbed by the per-disk caches during queries",
-            &[],
-        );
-        let lsh_probes = r.counter(
-            "parsim_lsh_probes_total",
-            "LSH buckets probed by Approx-mode queries, over all tables and disks",
-            &[],
-        );
-        let lsh_candidates = r.counter(
-            "parsim_lsh_candidates_total",
-            "Unique LSH candidate rows exactly re-ranked by Approx-mode queries",
-            &[],
-        );
-        let lsh_empty_probes = r.counter(
-            "parsim_lsh_empty_probes_total",
-            "Probed LSH buckets that held no rows (recall proxy: wasted probe budget)",
-            &[],
-        );
+        let trace_counters = TRACE_COUNTERS
+            .iter()
+            .map(|&(name, help, _)| r.counter(name, help, &[]))
+            .collect();
         let retries = r.counter(
             "parsim_read_retries_total",
             "Page-read retries against flaky disks",
@@ -333,17 +338,7 @@ impl EngineMetrics {
             queries_failed,
             queries_degraded,
             pages,
-            candidates_pruned,
-            dist_evals,
-            dist_evals_saved,
-            lb_evals,
-            rerank_evals,
-            abandoned_rows,
-            abandon_checkpoints,
-            cache_hits,
-            lsh_probes,
-            lsh_candidates,
-            lsh_empty_probes,
+            trace_counters,
             retries,
             replica_pages,
             shed_overloaded,
@@ -392,17 +387,9 @@ impl EngineMetrics {
             self.disk_service[disk].record(micros);
             self.busy_micros[disk].add(micros);
         }
-        self.candidates_pruned.add(trace.candidates_pruned);
-        self.dist_evals.add(trace.dist_evals);
-        self.dist_evals_saved.add(trace.dist_evals_saved);
-        self.lb_evals.add(trace.lb_evals);
-        self.rerank_evals.add(trace.rerank_evals);
-        self.abandoned_rows.add(trace.abandoned_rows);
-        self.abandon_checkpoints.add(trace.abandon_checkpoints);
-        self.cache_hits.add(trace.cache_hits);
-        self.lsh_probes.add(trace.lsh_probes);
-        self.lsh_candidates.add(trace.lsh_candidates);
-        self.lsh_empty_probes.add(trace.lsh_empty_probes);
+        for ((_, _, field), counter) in TRACE_COUNTERS.iter().zip(&self.trace_counters) {
+            counter.add(field(trace));
+        }
         for (disk, &c) in trace.per_disk_coalesced.iter().enumerate() {
             if c > 0 {
                 self.coalesced[disk].add(c);
