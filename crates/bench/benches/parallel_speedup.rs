@@ -11,7 +11,7 @@ use std::hint::black_box;
 
 use parsim_bench::experiments::common::{build_engine, Method};
 use parsim_datagen::{DataGenerator, UniformGenerator};
-use parsim_parallel::{EngineConfig, ParallelKnnEngine, SequentialEngine};
+use parsim_parallel::{EngineConfig, ParallelKnnEngine};
 
 fn bench_methods(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_speedup");
@@ -49,7 +49,11 @@ fn bench_execution_paths(c: &mut Criterion) {
         .disks(8)
         .build(&data)
         .expect("engine builds");
-    let seq = SequentialEngine::build(&data, config).expect("baseline builds");
+    let seq = ParallelKnnEngine::builder(dim)
+        .config(config)
+        .disks(1)
+        .build(&data)
+        .expect("baseline builds");
 
     // Single-disk baseline: the denominator of the measured speed-up.
     group.bench_function("sequential_knn10", |b| {

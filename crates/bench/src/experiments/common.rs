@@ -8,10 +8,9 @@ use parsim_decluster::{
     BucketBased, Declusterer, DiskModulo, FxXor, HilbertDecluster, NearOptimal, RoundRobin,
 };
 use parsim_geometry::{Point, QuadrantSplitter};
-use parsim_parallel::metrics::{run_declustered_workload, run_sequential_workload};
+use parsim_parallel::metrics::{run_declustered_workload, run_knn_workload};
 use parsim_parallel::{
-    DeclusteredXTree, EngineConfig, ParallelKnnEngine, SequentialEngine, SplitStrategy,
-    WorkloadCost,
+    DeclusteredXTree, EngineConfig, ParallelKnnEngine, SplitStrategy, WorkloadCost,
 };
 
 /// Declustering methods available to experiments.
@@ -158,15 +157,20 @@ pub fn build_engine(
         .expect("engine builds on experiment data")
 }
 
-/// Builds the sequential baseline and runs the same workload.
+/// Builds the sequential baseline — the same engine on one disk — and
+/// runs the same workload.
 pub fn sequential_cost(
     points: &[Point],
     queries: &[Point],
     k: usize,
     config: EngineConfig,
 ) -> WorkloadCost {
-    let seq = SequentialEngine::build(points, config).expect("baseline builds");
-    run_sequential_workload(&seq, queries, k).expect("workload matches baseline")
+    let seq = ParallelKnnEngine::builder(config.dim)
+        .config(config)
+        .disks(1)
+        .build(points)
+        .expect("baseline builds");
+    run_knn_workload(&seq, queries, k).expect("workload matches baseline")
 }
 
 /// Generates data-distributed queries for a generator-backed dataset.

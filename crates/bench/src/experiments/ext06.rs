@@ -16,8 +16,8 @@
 use std::time::Instant;
 
 use parsim_datagen::{DataGenerator, UniformGenerator};
-use parsim_parallel::metrics::{run_sequential_workload, run_traced_workload, speedup};
-use parsim_parallel::{EngineConfig, ParallelKnnEngine, QueryTrace, SequentialEngine};
+use parsim_parallel::metrics::{run_knn_workload, run_traced_workload, speedup};
+use parsim_parallel::{EngineConfig, ParallelKnnEngine, QueryTrace};
 
 use crate::report::{fmt, ExperimentReport};
 
@@ -32,8 +32,12 @@ pub fn run(scale: f64) -> ExperimentReport {
     let queries = UniformGenerator::new(dim).generate(16, 62);
     let config = EngineConfig::paper_defaults(dim);
 
-    let seq = SequentialEngine::build(&data, config).expect("sequential engine builds");
-    let seq_cost = run_sequential_workload(&seq, &queries, k).expect("sequential workload");
+    let seq = ParallelKnnEngine::builder(dim)
+        .config(config)
+        .disks(1)
+        .build(&data)
+        .expect("sequential engine builds");
+    let seq_cost = run_knn_workload(&seq, &queries, k).expect("sequential workload");
     let seq_wall = {
         let start = Instant::now();
         for q in &queries {

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parsim_decluster::near_optimal::colors_required;
 use parsim_decluster::replica::{ChainedReplica, ReplicaRouting};
 use parsim_decluster::{BucketBased, Declusterer, NearOptimal, ReplicaDeclusterer};
-use parsim_geometry::{Point, QuadrantSplitter};
+use parsim_geometry::Point;
 use parsim_index::{
     KnnAlgorithm, LshConfig, ScanOrder, ScanTier, TreeVariant, DEFAULT_CACHE_SHARDS,
 };
@@ -39,56 +39,29 @@ use crate::EngineError;
 /// mirror router.
 pub(crate) type ResolvedDecluster = (Arc<dyn Declusterer>, Option<Arc<dyn ReplicaRouting>>);
 
-/// The default declustering for `disks` disks: the paper's near-optimal
-/// coloring behind a quadrant partition, or — with replication — the
-/// [`ReplicaDeclusterer`] that places both copies. Shared by the builder
-/// and the engine's online reorganize (which re-derives the declustering
-/// from the then-current data).
-pub(crate) fn resolve_default_decluster(
-    config: &EngineConfig,
-    disks: usize,
-    replicated: bool,
-    splitter: QuadrantSplitter,
-) -> Result<ResolvedDecluster, EngineError> {
-    if replicated {
-        let rd = Arc::new(
-            ReplicaDeclusterer::new(config.dim, disks, splitter)
-                .map_err(|e| EngineError::Internal(e.to_string()))?,
-        );
-        Ok((
-            Arc::clone(&rd) as Arc<dyn Declusterer>,
-            Some(rd as Arc<dyn ReplicaRouting>),
-        ))
-    } else {
-        // `col` can use at most nextpow2(d+1) disks; extra disks could
-        // never receive data, so the engine is capped to the usable count.
-        let capped = disks.min(colors_required(config.dim) as usize);
-        let method = NearOptimal::new(config.dim, capped)
-            .map_err(|e| EngineError::Internal(e.to_string()))?;
-        Ok((Arc::new(BucketBased::new(method, splitter)), None))
-    }
-}
-
 /// Builds a [`ParallelKnnEngine`], replacing the former
 /// `build` / `build_near_optimal` / `with_page_cache` constructor sprawl.
 ///
 /// Defaults: the paper's configuration ([`EngineConfig::paper_defaults`]),
 /// near-optimal declustering over `colors_required(dim)` disks, no
 /// replicas, no page cache, and an empty [`FaultPolicy`].
+///
+/// The engine keeps the builder it was built from as its recipe: every
+/// [`crate::ParallelKnnEngine::reorganize`] builds from it again.
 #[derive(Clone)]
 pub struct EngineBuilder {
-    config: EngineConfig,
+    pub(crate) config: EngineConfig,
     disks: Option<usize>,
     declusterer: Option<Arc<dyn Declusterer>>,
     replicas: usize,
-    page_cache: Option<usize>,
-    cache_shards: usize,
-    fault_policy: FaultPolicy,
-    execution: ExecutionMode,
-    metrics: bool,
-    admission: Option<AdmissionConfig>,
-    ingest: Option<IngestConfig>,
-    lsh: Option<LshConfig>,
+    pub(crate) page_cache: Option<usize>,
+    pub(crate) cache_shards: usize,
+    pub(crate) fault_policy: FaultPolicy,
+    pub(crate) execution: ExecutionMode,
+    pub(crate) metrics: bool,
+    pub(crate) admission: Option<AdmissionConfig>,
+    pub(crate) ingest: Option<IngestConfig>,
+    pub(crate) lsh: Option<LshConfig>,
 }
 
 impl EngineBuilder {
@@ -311,51 +284,54 @@ impl EngineBuilder {
                 return Err(EngineError::Internal(format!("duplicate item id {id}")));
             }
         }
-        let (declusterer, router): ResolvedDecluster = match &self.declusterer {
-            Some(d) => {
-                if let Some(n) = self.disks {
-                    if n != d.disks() {
-                        return Err(EngineError::DiskCountMismatch {
-                            engine: n,
-                            declusterer: d.disks(),
-                        });
-                    }
-                }
-                let router: Option<Arc<dyn ReplicaRouting>> = if self.replicas == 1 {
-                    if d.disks() < 2 {
-                        return Err(EngineError::Internal(
-                            "replication needs at least two disks".to_owned(),
-                        ));
-                    }
-                    Some(Arc::new(ChainedReplica::new(Arc::clone(d))))
-                } else {
-                    None
-                };
-                (Arc::clone(d), router)
+        ParallelKnnEngine::from_recipe(self, items)
+    }
+
+    /// Chooses the declustering for a build over `items`: the explicit
+    /// declusterer with chained mirrors, or the default one derived from
+    /// the items — the paper's near-optimal coloring behind a quadrant
+    /// partition, or, with replication, the [`ReplicaDeclusterer`] that
+    /// places both copies. Every build and every reorganize resolves here
+    /// exactly once.
+    pub(crate) fn resolve(&self, items: &[(Point, u64)]) -> Result<ResolvedDecluster, EngineError> {
+        let internal = |e: parsim_decluster::DeclusterError| EngineError::Internal(e.to_string());
+        let Some(d) = &self.declusterer else {
+            let splitter = make_splitter_of(items.iter().map(|(p, _)| p), &self.config)?;
+            let dim = self.config.dim;
+            let disks = self.disks.unwrap_or(colors_required(dim) as usize);
+            if self.replicas == 1 {
+                let rd = Arc::new(ReplicaDeclusterer::new(dim, disks, splitter).map_err(internal)?);
+                return Ok((
+                    Arc::clone(&rd) as Arc<dyn Declusterer>,
+                    Some(rd as Arc<dyn ReplicaRouting>),
+                ));
             }
-            None => {
-                let splitter = make_splitter_of(items.iter().map(|(p, _)| p), &self.config)?;
-                let disks = self
-                    .disks
-                    .unwrap_or(colors_required(self.config.dim) as usize);
-                resolve_default_decluster(&self.config, disks, self.replicas == 1, splitter)?
-            }
+            // `col` can use at most nextpow2(d+1) disks; extra disks could
+            // never receive data, so the engine is capped to the usable count.
+            let capped = disks.min(colors_required(dim) as usize);
+            let method = NearOptimal::new(dim, capped).map_err(internal)?;
+            return Ok((Arc::new(BucketBased::new(method, splitter)), None));
         };
-        ParallelKnnEngine::build_internal(
-            items,
-            declusterer,
-            router,
-            self.config,
-            self.fault_policy,
-            self.page_cache,
-            self.cache_shards,
-            self.execution,
-            self.metrics,
-            self.admission,
-            self.ingest,
-            self.lsh,
-            self.declusterer.is_some(),
-        )
+        if let Some(n) = self.disks {
+            if n != d.disks() {
+                return Err(EngineError::DiskCountMismatch {
+                    engine: n,
+                    declusterer: d.disks(),
+                });
+            }
+        }
+        if self.replicas == 0 {
+            return Ok((Arc::clone(d), None));
+        }
+        if d.disks() < 2 {
+            return Err(EngineError::Internal(
+                "replication needs at least two disks".to_owned(),
+            ));
+        }
+        Ok((
+            Arc::clone(d),
+            Some(Arc::new(ChainedReplica::new(Arc::clone(d)))),
+        ))
     }
 }
 

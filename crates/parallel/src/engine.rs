@@ -6,10 +6,11 @@
 //! same data whether the caller's thread or a pool worker drives it.
 //!
 //! Since the streaming-ingest redesign the engine itself is a thin handle
-//! over an `EngineShared`: the swappable `EngineInner` (core + pool +
-//! build recipe) behind a `RwLock`, next to the write-path state — the
-//! delta buffer of [`crate::ingest`], the id allocator, and the shadow-
-//! rebuild machinery. Every maintenance operation takes `&self`;
+//! over an `EngineShared`: the swappable `EngineInner` (core, caches and
+//! pool) behind a `RwLock`, next to the [`EngineBuilder`] it was built
+//! from — the one build recipe every rebuild reuses — and the write-path
+//! state: the delta buffer of [`crate::ingest`], the id allocator, and
+//! the shadow-rebuild machinery. Every maintenance operation takes `&self`;
 //! [`ParallelKnnEngine::reorganize`] bulk-loads a replacement inner off
 //! to the side and swaps it in atomically while queries keep running.
 //! See `DESIGN.md` ("Query execution backbone", "Streaming ingest &
@@ -36,7 +37,7 @@ use parsim_index::{
 };
 use parsim_storage::{DiskArray, DiskModel, FaultInjector, FaultKind, QueryCost};
 
-use crate::builder::{resolve_default_decluster, EngineBuilder};
+use crate::builder::{EngineBuilder, ResolvedDecluster};
 use crate::config::{EngineConfig, SplitStrategy};
 use crate::ingest::{DeltaOp, DeltaState, IngestConfig, QueryOverlay};
 use crate::lsh::{merge_unique_candidates, DiskProbes, LshCounters, LshRuntime};
@@ -89,9 +90,11 @@ pub(crate) struct EngineShared {
     /// [`EngineShared::rebuild`] takes the write lock only for the final
     /// pointer swap.
     inner: RwLock<EngineInner>,
-    /// Write-path configuration; `None` means the engine is read-only
-    /// and the delta buffer stays empty forever (queries skip it).
-    ingest: Option<IngestConfig>,
+    /// The build recipe — every build setting, the write-path
+    /// configuration among them (`ingest: None` means the engine is
+    /// read-only and the delta buffer stays empty forever). Every
+    /// [`EngineShared::rebuild`] builds from it again.
+    recipe: EngineBuilder,
     /// The delta buffer. Lock order: `inner` before `delta`, always.
     delta: Mutex<DeltaState>,
     /// Item-id allocator; seeded past the largest bulk-loaded id.
@@ -110,29 +113,21 @@ pub(crate) struct EngineShared {
     metrics: Option<Arc<EngineMetrics>>,
 }
 
-/// The swappable unit of engine state: the query-facing core plus the
-/// build recipe needed to reconstruct it (declusterer, caches, pool).
-/// A shadow rebuild constructs a complete replacement `EngineInner` and
-/// swaps it behind [`EngineShared::inner`]; dropping the old one drains
-/// its worker pool against the old core (the PR-4 in-flight counter).
+/// The swappable unit of engine state: what one build resolved — the
+/// query-facing core, the declustering, the caches and the pool. A
+/// shadow rebuild constructs a complete replacement `EngineInner` from
+/// the same recipe and swaps it behind [`EngineShared::inner`]; dropping
+/// the old one drains its worker pool against the old core.
 pub(crate) struct EngineInner {
     core: Arc<EngineCore>,
     declusterer: Arc<dyn Declusterer>,
     replica_router: Option<Arc<dyn ReplicaRouting>>,
-    fault_policy: FaultPolicy,
-    page_cache_capacity: Option<usize>,
-    cache_shards: usize,
     /// Per-disk page caches; empty unless [`EngineBuilder::page_cache`]
     /// was set.
     caches: Vec<Arc<CachingSink>>,
-    execution: ExecutionMode,
-    /// True when the declusterer was supplied explicitly at build time —
-    /// a rebuild then reuses it verbatim instead of re-deriving the
-    /// default declustering from the current data.
-    explicit_declusterer: bool,
-    /// The persistent per-disk worker pool; `Some` iff `execution` is
-    /// [`ExecutionMode::Pooled`]. Dropped (drained + joined) before the
-    /// core when this inner is replaced or the engine goes away.
+    /// The persistent per-disk worker pool; `Some` iff the recipe asks
+    /// for [`ExecutionMode::Pooled`]. Dropped (drained + joined) before
+    /// the core when this inner is replaced or the engine goes away.
     pool: Option<WorkerPool>,
 }
 
@@ -165,16 +160,27 @@ pub(crate) struct EngineCore {
     /// Serve-layer admission policy; `None` (the default) keeps the pool
     /// on unbounded FIFO queues with no deadlines and no coalescing.
     pub(crate) admission: Option<AdmissionConfig>,
+    /// Engine-wide degraded-mode defaults (timeout budget, retry policy).
+    pub(crate) fault_policy: FaultPolicy,
     /// Per-disk read-combining sinks; non-empty iff
     /// [`AdmissionConfig::coalescing`] is on. Workers open each popped
     /// task's wave on its disk's combiner before searching.
     pub(crate) coalescers: Vec<Arc<CoalescingSink>>,
+    /// Test hook: every stage step panics while this is set.
+    #[cfg(test)]
+    pub(crate) panic_in_step: AtomicBool,
 }
 
-/// The mutable state of one degraded-mode query of either tier. The
-/// stage machine runs it step for step identically whoever drives it
-/// (same retry draws, same failover order, same trace).
-pub(crate) struct DegradedState {
+/// The mutable state of one stop-list query of either tier: its primary
+/// stops, the failover stops planned after them, and the per-disk
+/// results. The stage machine runs it step for step identically whoever
+/// drives it (same retry draws, same failover order, same trace).
+pub(crate) struct StopList {
+    /// The verdict taken at submission: faults armed or a timeout budget
+    /// set. A healthy list skips every fault check, so it plans no
+    /// failover and its trace keeps the healthy modeled time and no
+    /// degraded record.
+    pub(crate) degraded: bool,
     pub(crate) timeout: Option<Duration>,
     pub(crate) retry: RetryPolicy,
     /// What one disk's share of the query is: a tree search or an LSH
@@ -194,7 +200,7 @@ pub(crate) struct DegradedState {
     pub(crate) error_after: Option<usize>,
 }
 
-/// The unit of work a degraded query runs on each disk it visits.
+/// The unit of work a stop-list query runs on each disk it visits.
 pub(crate) enum Unit {
     /// Exact tier: a tree search under the carried pruning bound. The
     /// tier and scan order ride along so primary and failover searches
@@ -212,14 +218,16 @@ pub(crate) enum Unit {
     },
 }
 
-impl DegradedState {
+impl StopList {
     pub(crate) fn new(
         disks: usize,
+        degraded: bool,
         timeout: Option<Duration>,
         retry: RetryPolicy,
         unit: Unit,
     ) -> Self {
-        DegradedState {
+        StopList {
+            degraded,
             timeout,
             retry,
             unit,
@@ -299,31 +307,10 @@ impl EngineCore {
         cursor.visit(&self.trees[disk].read(), query, stats);
     }
 
-    /// One HS pipeline hop: disk `disk`'s full local best-first search,
-    /// pruning against (and tightening) the traveling bound.
-    pub(crate) fn hs_visit(
-        &self,
-        disk: usize,
-        query: &Point,
-        k: usize,
-        bound: &SharedBound,
-        tier: ScanTier,
-        order: ScanOrder,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        self.trees[disk].read().knn_traced_ordered(
-            query,
-            k,
-            KnnAlgorithm::Hs,
-            Some(bound),
-            tier,
-            order,
-        )
-    }
-
-    /// Runs a degraded query's unit of work on disk `d`'s data: the
+    /// Runs a stop-list query's unit of work on disk `d`'s data: the
     /// primary tree or LSH shard when `host` is `None`, its mirror on
     /// `host` otherwise.
-    fn degraded_search(
+    fn search_stop(
         &self,
         d: usize,
         host: Option<usize>,
@@ -353,7 +340,7 @@ impl EngineCore {
                 let buckets = &plan
                     .iter()
                     .find(|p| p.disk == d)
-                    .expect("a degraded stop is on the probe plan")
+                    .expect("a stop is on the probe plan")
                     .buckets;
                 let mut stats = SearchStats::default();
                 let cands = match host {
@@ -368,52 +355,48 @@ impl EngineCore {
     /// The flaky-read verdict of `pages` reads on `disk`: a flaky disk
     /// replays its error stream under the retry policy, charging retries
     /// and backoff to the disk. False means the disk is abandoned.
-    fn survives_flaky_reads(&self, disk: usize, pages: u64, state: &mut DegradedState) -> bool {
+    fn survives_flaky_reads(&self, disk: usize, pages: u64, list: &mut StopList) -> bool {
         let faults = self.array.faults();
         if !matches!(faults.fault(disk), Some(FaultKind::Flaky { .. })) {
             return true;
         }
         let (retries, extra, ok) =
-            simulate_flaky_reads(faults, disk, pages, &state.retry, self.array.model());
-        state.retries_total += retries;
-        state.extra_time[disk] += extra;
+            simulate_flaky_reads(faults, disk, pages, &list.retry, self.array.model());
+        list.retries_total += retries;
+        list.extra_time[disk] += extra;
         ok
     }
 
-    /// The degraded primary step of one disk: skip it if hard-failed,
-    /// otherwise search it, replay the flaky-read error stream, and apply
-    /// the timeout budget. An unusable disk joins `state.down`.
-    pub(crate) fn degraded_primary(
+    /// The primary step of one disk: search it, and — degraded only —
+    /// skip it if hard-failed, replay the flaky-read error stream, and
+    /// apply the timeout budget. An unusable disk joins `list.down`.
+    pub(crate) fn run_primary(
         &self,
         disk: usize,
         query: &Point,
         k: usize,
-        state: &mut DegradedState,
+        list: &mut StopList,
         stats: &mut [SearchStats],
     ) {
         let faults = self.array.faults();
-        if faults.is_failed(disk) {
-            state.down.push(disk);
+        if list.degraded && faults.is_failed(disk) {
+            list.down.push(disk);
             return;
         }
-        let (cands, s) = self.degraded_search(disk, None, query, k, &mut state.unit);
+        let (cands, s) = self.search_stop(disk, None, query, k, &mut list.unit);
         stats[disk].merge(s);
-        let mut alive = self.survives_flaky_reads(disk, s.pages, state);
+        let alive = !list.degraded
+            || (self.survives_flaky_reads(disk, s.pages, list)
+                && list.timeout.map_or(true, |budget| {
+                    let model = faults.model_for(disk, self.array.model());
+                    model.service_time(stats[disk].pages) + list.extra_time[disk] <= budget
+                }));
         if alive {
-            if let Some(budget) = state.timeout {
-                let disk_time = faults
-                    .model_for(disk, self.array.model())
-                    .service_time(stats[disk].pages)
-                    + state.extra_time[disk];
-                alive = disk_time <= budget;
-            }
-        }
-        if alive {
-            state.candidates[disk] = cands;
+            list.candidates[disk] = cands;
         } else {
             // The pages were read (and are charged) but the answer is not
             // trusted: the disk's buckets fail over.
-            state.down.push(disk);
+            list.down.push(disk);
         }
     }
 
@@ -422,10 +405,10 @@ impl EngineCore {
     /// disk holding no data needs none). A down disk with no mirror
     /// truncates the plan and records the error, so the query fails only
     /// after the stops before it ran.
-    pub(crate) fn plan_failover(&self, state: &mut DegradedState) {
-        for i in 0..state.down.len() {
-            let d = state.down[i];
-            let hosts: Vec<usize> = match &state.unit {
+    pub(crate) fn plan_failover(&self, list: &mut StopList) {
+        for i in 0..list.down.len() {
+            let d = list.down[i];
+            let hosts: Vec<usize> = match &list.unit {
                 Unit::Tree { .. } if self.trees[d].read().is_empty() => continue,
                 Unit::Tree { .. } => self.mirrors[d].read().keys().copied().collect(),
                 Unit::Lsh { .. } => self
@@ -436,11 +419,10 @@ impl EngineCore {
                     .collect(),
             };
             if hosts.is_empty() {
-                state.error_after = Some(d);
+                list.error_after = Some(d);
                 break;
             }
-            state
-                .itinerary
+            list.itinerary
                 .extend(hosts.into_iter().map(|host| (d, host)));
         }
     }
@@ -449,69 +431,71 @@ impl EngineCore {
     /// mirror of the down disk on its host, replaying the host's flaky
     /// stream. Errors if the host itself is failed or flaky beyond the
     /// retry policy.
-    pub(crate) fn degraded_failover(
+    pub(crate) fn run_failover(
         &self,
         pos: usize,
         query: &Point,
         k: usize,
-        state: &mut DegradedState,
+        list: &mut StopList,
         stats: &mut [SearchStats],
     ) -> Result<(), EngineError> {
-        let (d, host) = state.itinerary[pos];
+        let (d, host) = list.itinerary[pos];
         if self.array.faults().is_failed(host) {
             return Err(EngineError::BucketUnavailable { disk: d });
         }
-        let (cands, s) = self.degraded_search(d, Some(host), query, k, &mut state.unit);
-        if !self.survives_flaky_reads(host, s.pages, state) {
+        let (cands, s) = self.search_stop(d, Some(host), query, k, &mut list.unit);
+        if !self.survives_flaky_reads(host, s.pages, list) {
             return Err(EngineError::BucketUnavailable { disk: d });
         }
-        state.replica_pages += s.pages;
+        list.replica_pages += s.pages;
         stats[host].merge(s);
-        state.candidates[host].extend(cands);
+        list.candidates[host].extend(cands);
         // The down disk is fully served once its last host ran.
-        if state.itinerary.get(pos + 1).map(|&(nd, _)| nd) != Some(d) {
-            state.failed_over.push(d);
+        if list.itinerary.get(pos + 1).map(|&(nd, _)| nd) != Some(d) {
+            list.failed_over.push(d);
         }
         Ok(())
     }
 
-    /// Merges a finished degraded query into its answer and completes its
-    /// trace: the degraded critical path charges every disk its
-    /// fault-scaled service time plus retry backoff; timed-out disks
-    /// charge the budget; hard-failed disks charge nothing.
-    pub(crate) fn finish_degraded(
+    /// Merges a finished stop-list query into its answer. A degraded one
+    /// also completes its trace: the degraded critical path charges every
+    /// disk its fault-scaled service time plus retry backoff; timed-out
+    /// disks charge the budget; hard-failed disks charge nothing.
+    pub(crate) fn finish_stops(
         &self,
-        state: DegradedState,
+        list: StopList,
         k: usize,
         trace: &mut QueryTrace,
     ) -> Result<Vec<Neighbor>, EngineError> {
-        if let Some(d) = state.error_after {
+        if let Some(d) = list.error_after {
             return Err(EngineError::BucketUnavailable { disk: d });
         }
-        let faults = self.array.faults();
-        let model = self.array.model();
-        let mut modeled_parallel = Duration::ZERO;
-        for (i, &pages) in trace.per_disk_pages.iter().enumerate() {
-            let mut t = faults.model_for(i, model).service_time(pages) + state.extra_time[i];
-            if state.down.contains(&i) {
-                if faults.is_failed(i) {
-                    t = Duration::ZERO;
-                } else if let Some(budget) = state.timeout {
-                    t = t.min(budget);
+        if list.degraded {
+            let faults = self.array.faults();
+            let model = self.array.model();
+            let mut modeled_parallel = Duration::ZERO;
+            for (i, &pages) in trace.per_disk_pages.iter().enumerate() {
+                let mut t = faults.model_for(i, model).service_time(pages) + list.extra_time[i];
+                if list.down.contains(&i) {
+                    if faults.is_failed(i) {
+                        t = Duration::ZERO;
+                    } else if let Some(budget) = list.timeout {
+                        t = t.min(budget);
+                    }
                 }
+                modeled_parallel = modeled_parallel.max(t);
             }
-            modeled_parallel = modeled_parallel.max(t);
+            let healthy_parallel = trace.modeled_parallel;
+            trace.modeled_parallel = modeled_parallel;
+            trace.degraded = Some(DegradedInfo {
+                failed_over: list.failed_over,
+                retries: list.retries_total,
+                replica_pages: list.replica_pages,
+                added_latency: modeled_parallel.saturating_sub(healthy_parallel),
+            });
         }
-        let healthy_parallel = trace.modeled_parallel;
-        trace.modeled_parallel = modeled_parallel;
-        trace.degraded = Some(DegradedInfo {
-            failed_over: state.failed_over,
-            retries: state.retries_total,
-            replica_pages: state.replica_pages,
-            added_latency: modeled_parallel.saturating_sub(healthy_parallel),
-        });
-        let locals = state.candidates.iter().map(Vec::as_slice);
-        Ok(match state.unit {
+        let locals = list.candidates.iter().map(Vec::as_slice);
+        Ok(match list.unit {
             Unit::Tree { .. } => merge_candidates(locals, k),
             Unit::Lsh { counters, .. } => {
                 counters.fold_into(trace);
@@ -529,24 +513,13 @@ impl EngineInner {
     /// wrapped by a [`CoalescingSink`] — outermost first) installed at
     /// construction. With [`ExecutionMode::Pooled`] the per-disk worker
     /// pool starts eagerly, before the first query.
-    #[allow(clippy::too_many_arguments)]
     fn build(
+        recipe: &EngineBuilder,
         items: Vec<(Point, u64)>,
-        declusterer: Arc<dyn Declusterer>,
-        replica_router: Option<Arc<dyn ReplicaRouting>>,
-        config: EngineConfig,
-        fault_policy: FaultPolicy,
-        page_cache: Option<usize>,
-        cache_shards: usize,
-        execution: ExecutionMode,
+        (declusterer, replica_router): ResolvedDecluster,
         metrics: Option<Arc<EngineMetrics>>,
-        admission: Option<AdmissionConfig>,
-        lsh_config: Option<LshConfig>,
-        explicit_declusterer: bool,
     ) -> Result<EngineInner, EngineError> {
-        if items.is_empty() {
-            return Err(EngineError::EmptyDataSet);
-        }
+        let config = recipe.config;
         for (p, _) in &items {
             if p.dim() != config.dim {
                 return Err(EngineError::DimensionMismatch {
@@ -565,7 +538,7 @@ impl EngineInner {
         // The approximate tier fits its hash family and shards on the
         // same item set the trees are about to bulk-load, before the
         // partitioning below consumes it.
-        let lsh = lsh_config.map(|cfg| {
+        let lsh = recipe.lsh.map(|cfg| {
             Arc::new(LshRuntime::build(
                 cfg,
                 config.dim,
@@ -596,7 +569,7 @@ impl EngineInner {
         // chain wraps the disk at construction: a coalesced visit skips
         // the cache entirely and leaves the LRU state exactly as an
         // uncoalesced replay would expect.
-        let coalescing = admission.map(|a| a.coalescing).unwrap_or(false);
+        let coalescing = recipe.admission.is_some_and(|a| a.coalescing);
         let mut caches = Vec::new();
         let mut coalescers = Vec::new();
         let mut trees = Vec::with_capacity(disks);
@@ -607,12 +580,12 @@ impl EngineInner {
             let mut tree = SpatialTree::bulk_load(params, part)
                 .map_err(|e| EngineError::Internal(e.to_string()))?
                 .with_disk(Arc::clone(array.disk(i)));
-            if page_cache.is_some() || coalescing {
+            if recipe.page_cache.is_some() || coalescing {
                 let mut sink: Arc<dyn NodeSink> = Arc::new(DiskSink(Arc::clone(array.disk(i))));
-                if let Some(capacity) = page_cache {
+                if let Some(capacity) = recipe.page_cache {
                     let cm = metrics.as_ref().map(|m| m.cache_metrics(i));
-                    let cache =
-                        Arc::new(CachingSink::with_metrics(sink, capacity, cache_shards, cm));
+                    let shards = recipe.cache_shards;
+                    let cache = Arc::new(CachingSink::with_metrics(sink, capacity, shards, cm));
                     caches.push(Arc::clone(&cache));
                     sink = cache;
                 }
@@ -648,22 +621,20 @@ impl EngineInner {
             trees: trees.into_iter().map(RwLock::new).collect(),
             mirrors: mirrors.into_iter().map(RwLock::new).collect(),
             lsh,
-            metrics: metrics.clone(),
-            admission,
+            metrics,
+            admission: recipe.admission,
+            fault_policy: recipe.fault_policy,
             coalescers,
+            #[cfg(test)]
+            panic_in_step: AtomicBool::new(false),
         });
-        let pool =
-            (execution == ExecutionMode::Pooled).then(|| WorkerPool::start(Arc::clone(&core)));
+        let pool = (recipe.execution == ExecutionMode::Pooled)
+            .then(|| WorkerPool::start(Arc::clone(&core)));
         Ok(EngineInner {
             core,
             declusterer,
             replica_router,
-            fault_policy,
-            page_cache_capacity: page_cache,
-            cache_shards,
             caches,
-            execution,
-            explicit_declusterer,
             pool,
         })
     }
@@ -708,53 +679,40 @@ impl EngineInner {
         });
         let degraded = (timeout.is_some() || core.array.faults().any_armed())
             && plan.as_ref().map_or(true, |p| !p.is_empty());
-        let stage = if degraded {
-            let unit = match plan {
-                Some(plan) => Unit::Lsh {
-                    plan,
-                    counters: LshCounters::default(),
+        let stage = match plan {
+            None if !degraded && core.config.algorithm == KnnAlgorithm::Rkv => Stage::Rkv {
+                cursor: ForestCursor::with_tier_order(k, tier, order),
+                itinerary: match k {
+                    0 => Vec::new(),
+                    _ => core.itinerary(query),
                 },
-                None => Unit::Tree {
-                    bound: SharedBound::new(),
-                    tier,
-                    order,
-                },
-            };
-            Stage::Degraded {
-                state: DegradedState::new(n, timeout, retry, unit),
-                phase: Phase::Primaries { pos: 0 },
-            }
-        } else if let Some(plan) = plan {
-            Stage::Approx {
-                plan,
                 pos: 0,
-                candidates: vec![Vec::new(); n],
-                counters: LshCounters::default(),
-            }
-        } else {
-            match core.config.algorithm {
-                KnnAlgorithm::Rkv => Stage::Rkv {
-                    cursor: ForestCursor::with_tier_order(k, tier, order),
-                    itinerary: match k {
-                        0 => Vec::new(),
-                        _ => core.itinerary(query),
+            },
+            plan => {
+                let unit = match plan {
+                    Some(plan) => Unit::Lsh {
+                        plan,
+                        counters: LshCounters::default(),
                     },
-                    pos: 0,
-                },
-                KnnAlgorithm::Hs => Stage::Hs {
-                    bound: SharedBound::new(),
-                    candidates: vec![Vec::new(); n],
-                    next: if k == 0 { n } else { 0 },
-                },
+                    None => Unit::Tree {
+                        bound: SharedBound::new(),
+                        tier,
+                        order,
+                    },
+                };
+                Stage::Stops {
+                    list: StopList::new(n, degraded, timeout, retry, unit),
+                    phase: Phase::Primaries { pos: 0 },
+                }
             }
         };
         // The first disk to visit; `None` when there is nothing to
-        // search and the task completes on the spot.
+        // search and the task completes on the spot (a healthy `k = 0`
+        // query reads nothing).
         let first = match &stage {
             Stage::Rkv { itinerary, .. } => itinerary.first().map(|&(_, disk)| disk),
-            Stage::Hs { next, .. } => (*next < n).then_some(0),
-            Stage::Approx { plan, .. } => plan.first().map(|p| p.disk),
-            Stage::Degraded { state, .. } => state.primary_stop(0, n),
+            Stage::Stops { list, .. } if degraded || k > 0 => list.primary_stop(0, n),
+            Stage::Stops { .. } => None,
         };
         let completion = Arc::new(Completion::new());
         let pending = PendingQuery::new(
@@ -767,8 +725,6 @@ impl EngineInner {
         let task = Box::new(QueryTask {
             query: query.clone(),
             k,
-            tier,
-            order,
             stats: vec![SearchStats::default(); n],
             start,
             stage,
@@ -799,8 +755,8 @@ impl EngineInner {
 
     fn resolve_policy(&self, opts: &QueryOptions) -> (Option<Duration>, RetryPolicy) {
         (
-            opts.timeout.or(self.fault_policy.timeout),
-            opts.retry.unwrap_or(self.fault_policy.retry),
+            opts.timeout.or(self.core.fault_policy.timeout),
+            opts.retry.unwrap_or(self.core.fault_policy.retry),
         )
     }
 }
@@ -810,7 +766,7 @@ impl EngineShared {
     /// linearization point. `None` (the common read-only / empty-delta
     /// case) keeps the query path allocation- and merge-free.
     fn overlay_for(&self, query: &Point, k: usize) -> Option<QueryOverlay> {
-        if self.ingest.is_none() || k == 0 {
+        if self.recipe.ingest.is_none() || k == 0 {
             return None;
         }
         self.delta.lock().overlay(query, k)
@@ -886,33 +842,7 @@ impl EngineShared {
     /// totals span the swap.
     fn rebuild(shared: &EngineShared) -> Result<(), EngineError> {
         let _guard = shared.maintenance.lock();
-        let (
-            old_core,
-            declusterer,
-            replica_router,
-            fault_policy,
-            page_cache,
-            cache_shards,
-            execution,
-            explicit,
-        ) = {
-            let inner = shared.inner.read();
-            (
-                Arc::clone(&inner.core),
-                Arc::clone(&inner.declusterer),
-                inner.replica_router.clone(),
-                inner.fault_policy,
-                inner.page_cache_capacity,
-                inner.cache_shards,
-                inner.execution,
-                inner.explicit_declusterer,
-            )
-        };
-        // The LSH config is part of the recipe: the rebuilt tier re-fits
-        // the same seeded family on the then-current data.
-        let lsh_config = old_core.lsh.as_ref().map(|l| l.config());
-        let config = old_core.config;
-        let admission = old_core.admission;
+        let old_core = Arc::clone(&shared.inner.read().core);
         let disks = old_core.array.len();
 
         // Snapshot the delta and open the journal capture: from here on
@@ -944,32 +874,16 @@ impl EngineShared {
         // rebuild already purged.
         let new_ids: Vec<u64> = items.iter().map(|&(_, item)| item).collect();
 
-        let replicated = replica_router.is_some();
-        let built = (move || -> Result<EngineInner, EngineError> {
-            if items.is_empty() {
-                return Err(EngineError::EmptyDataSet);
-            }
-            let (declusterer, replica_router) = if explicit {
-                (declusterer, replica_router)
-            } else {
-                let splitter = make_splitter_of(items.iter().map(|(p, _)| p), &config)?;
-                resolve_default_decluster(&config, disks, replicated, splitter)?
-            };
-            EngineInner::build(
-                items,
-                declusterer,
-                replica_router,
-                config,
-                fault_policy,
-                page_cache,
-                cache_shards,
-                execution,
-                shared.metrics.clone(),
-                admission,
-                lsh_config,
-                explicit,
-            )
-        })();
+        // The recipe re-derives a default declustering from the current
+        // points (an explicit declusterer is reused verbatim), and the
+        // LSH tier re-fits the same seeded family on them.
+        let built = if items.is_empty() {
+            Err(EngineError::EmptyDataSet)
+        } else {
+            shared.recipe.resolve(&items).and_then(|resolved| {
+                EngineInner::build(&shared.recipe, items, resolved, shared.metrics.clone())
+            })
+        };
         let new_inner = match built {
             Ok(inner) => inner,
             Err(e) => {
@@ -1034,46 +948,24 @@ impl ParallelKnnEngine {
         EngineBuilder::new(dim)
     }
 
-    /// The workhorse constructor behind [`EngineBuilder::build`]: sets up
-    /// the shared write-path state and bulk-loads the first
-    /// `EngineInner`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_internal(
+    /// The constructor behind [`EngineBuilder::build`]: resolves the
+    /// recipe's declustering, sets up the shared write-path state and
+    /// bulk-loads the first `EngineInner`.
+    pub(crate) fn from_recipe(
+        recipe: &EngineBuilder,
         items: Vec<(Point, u64)>,
-        declusterer: Arc<dyn Declusterer>,
-        replica_router: Option<Arc<dyn ReplicaRouting>>,
-        config: EngineConfig,
-        fault_policy: FaultPolicy,
-        page_cache: Option<usize>,
-        cache_shards: usize,
-        execution: ExecutionMode,
-        metrics: bool,
-        admission: Option<AdmissionConfig>,
-        ingest: Option<IngestConfig>,
-        lsh: Option<LshConfig>,
-        explicit_declusterer: bool,
     ) -> Result<Self, EngineError> {
-        let disks = declusterer.disks();
-        let metrics = metrics.then(|| Arc::new(EngineMetrics::new(disks, cache_shards)));
+        let resolved = recipe.resolve(&items)?;
+        let disks = resolved.0.disks();
+        let metrics = recipe
+            .metrics
+            .then(|| Arc::new(EngineMetrics::new(disks, recipe.cache_shards)));
         let next_seq = items.iter().map(|&(_, id)| id + 1).max().unwrap_or(0);
-        let inner = EngineInner::build(
-            items,
-            declusterer,
-            replica_router,
-            config,
-            fault_policy,
-            page_cache,
-            cache_shards,
-            execution,
-            metrics.clone(),
-            admission,
-            lsh,
-            explicit_declusterer,
-        )?;
+        let inner = EngineInner::build(recipe, items, resolved, metrics.clone())?;
         Ok(ParallelKnnEngine {
             shared: Arc::new(EngineShared {
                 inner: RwLock::new(inner),
-                ingest,
+                recipe: recipe.clone(),
                 delta: Mutex::new(DeltaState::new(disks)),
                 next_seq: AtomicU64::new(next_seq),
                 maintenance: Mutex::new(()),
@@ -1102,7 +994,7 @@ impl ParallelKnnEngine {
 
     /// How this engine executes queries (set at build time).
     pub fn execution(&self) -> ExecutionMode {
-        self.shared.inner.read().execution
+        self.shared.recipe.execution
     }
 
     /// The declusterer in use. After a reorganize of a default-built
@@ -1122,7 +1014,7 @@ impl ParallelKnnEngine {
 
     /// The engine-wide degraded-mode defaults set at build time.
     pub fn fault_policy(&self) -> FaultPolicy {
-        self.shared.inner.read().fault_policy
+        self.shared.recipe.fault_policy
     }
 
     /// The serve-layer admission policy, or `None` when the engine runs
@@ -1143,7 +1035,7 @@ impl ParallelKnnEngine {
 
     /// The write-path configuration, or `None` for a read-only engine.
     pub fn ingest_config(&self) -> Option<IngestConfig> {
-        self.shared.ingest
+        self.shared.recipe.ingest
     }
 
     /// The approximate tier's build-time configuration, or `None` when
@@ -1151,13 +1043,7 @@ impl ParallelKnnEngine {
     /// [`ParallelKnnEngine::reorganize`]: the rebuilt tier re-fits the
     /// same seeded family.
     pub fn lsh_config(&self) -> Option<LshConfig> {
-        self.shared
-            .inner
-            .read()
-            .core
-            .lsh
-            .as_ref()
-            .map(|l| l.config())
+        self.shared.recipe.lsh
     }
 
     /// A deterministic byte serialization of the LSH tier's bucket layout
@@ -1246,7 +1132,7 @@ impl ParallelKnnEngine {
     /// of the wrong dimension. When the write trips a foreground rebuild
     /// trigger, rebuild errors propagate — the write itself was applied.
     pub fn insert(&self, point: Point) -> Result<u64, EngineError> {
-        let Some(cfg) = self.shared.ingest else {
+        let Some(cfg) = self.shared.recipe.ingest else {
             return Err(EngineError::ReadOnly);
         };
         let (item, due) = {
@@ -1298,7 +1184,7 @@ impl ParallelKnnEngine {
     /// [`EngineError::Internal`] for an id that was never allocated.
     /// Foreground rebuild-trigger errors propagate as for `insert`.
     pub fn remove(&self, item: u64) -> Result<(), EngineError> {
-        let Some(cfg) = self.shared.ingest else {
+        let Some(cfg) = self.shared.recipe.ingest else {
             return Err(EngineError::ReadOnly);
         };
         let due = {
@@ -1338,7 +1224,7 @@ impl ParallelKnnEngine {
     /// [`ParallelKnnEngine::reorganize`]); a no-op when the buffer is
     /// empty or the engine is read-only.
     pub fn flush(&self) -> Result<(), EngineError> {
-        if self.shared.ingest.is_none() || self.shared.delta.lock().is_empty() {
+        if self.shared.recipe.ingest.is_none() || self.shared.delta.lock().is_empty() {
             return Ok(());
         }
         self.reorganize()
@@ -1351,12 +1237,12 @@ impl ParallelKnnEngine {
     /// then swaps it in atomically. Queries and writes keep running
     /// throughout the build; writes that land mid-build are journaled
     /// and replayed into the fresh delta buffer at swap time, so nothing
-    /// is lost or duplicated. Disk count, replication, fault policy,
-    /// page-cache setup, execution mode, and admission policy are
-    /// preserved; the rebuilt state starts with a fresh, healthy disk
-    /// array (injected faults do not carry over) and rebuilt caches. The
-    /// metrics registry (when enabled) is **carried over** — cumulative
-    /// totals span the swap.
+    /// is lost or duplicated. The replacement is built from the engine's
+    /// own [`EngineBuilder`], so every build setting is preserved; the
+    /// rebuilt state starts with a fresh, healthy disk array (injected
+    /// faults do not carry over) and rebuilt caches. The metrics
+    /// registry (when enabled) is **carried over** — cumulative totals
+    /// span the swap.
     ///
     /// This is the paper's reorganization step for data whose
     /// distribution drifted after many insertions, made non-stop-the-
@@ -1388,11 +1274,12 @@ impl ParallelKnnEngine {
 
     /// Submits one k-NN query and returns a handle to wait on.
     ///
-    /// Every query runs the same stage machine: it travels disk by disk
-    /// along its MINDIST itinerary (RKV), or disk by disk with a carried
-    /// pruning bound (HS), or along its LSH probe plan (`Approx`), or
-    /// through the degraded primaries-then-failover stages when faults
-    /// are armed or a timeout budget applies.
+    /// Every query runs the same stage machine, in one of two stages: a
+    /// healthy RKV query travels disk by disk along its MINDIST
+    /// itinerary; every other query runs a stop list — disk by disk with
+    /// a carried pruning bound (HS) or along its LSH probe plan
+    /// (`Approx`), followed by the failover stops when faults are armed
+    /// or a timeout budget applies.
     ///
     /// In [`ExecutionMode::Pooled`] the query is handed to the per-disk
     /// worker pool and this call returns immediately. Submitting many
@@ -1759,6 +1646,54 @@ mod tests {
         }
     }
 
+    /// A panicking stage fails its own query only: that query returns an
+    /// error, the next one answers, and the engine still drops. The
+    /// steps run on a helper thread, so a hang fails the test.
+    fn a_panicking_stage_fails_only_its_query(execution: ExecutionMode) {
+        let pts = UniformGenerator::new(4).generate(500, 31);
+        let e = ParallelKnnEngine::builder(4)
+            .disks(4)
+            .execution(execution)
+            .build(&pts)
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let hook = |on| {
+                e.shared
+                    .inner
+                    .read()
+                    .core
+                    .panic_in_step
+                    .store(on, Ordering::Relaxed)
+            };
+            hook(true);
+            tx.send(e.knn(&pts[9], 3).map(|_| None)).unwrap();
+            hook(false);
+            tx.send(e.knn(&pts[9], 1).map(|(n, _)| Some(n[0].item)))
+                .unwrap();
+            drop(e);
+            tx.send(Ok(None)).unwrap();
+        });
+        let next = || {
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("step ends in 5 s")
+        };
+        assert!(matches!(next(), Err(EngineError::Internal(m))
+            if m.starts_with("a query stage panicked on disk")));
+        assert_eq!(next().unwrap(), Some(9));
+        assert_eq!(next().unwrap(), None);
+    }
+
+    #[test]
+    fn a_panicking_stage_fails_only_its_query_pooled() {
+        a_panicking_stage_fails_only_its_query(ExecutionMode::Pooled);
+    }
+
+    #[test]
+    fn a_panicking_stage_fails_only_its_query_scoped() {
+        a_panicking_stage_fails_only_its_query(ExecutionMode::Scoped);
+    }
+
     #[test]
     fn load_is_roughly_balanced_on_uniform_data() {
         let (e, _) = engine(8, 8000, 8);
@@ -1919,6 +1854,54 @@ mod tests {
         e.faults().fail(0);
         let (res, _) = e.knn(&pts[0], 1).unwrap();
         assert_eq!(res[0].dist, 0.0);
+    }
+
+    #[test]
+    fn reorganize_rebuilds_from_the_whole_build_recipe() {
+        use parsim_decluster::RoundRobin;
+        let pts = UniformGenerator::new(4).generate(600, 23);
+        let rr: Arc<dyn Declusterer> = Arc::new(RoundRobin::new(6).unwrap());
+        let policy = FaultPolicy::with_timeout(Duration::from_secs(1));
+        let e = ParallelKnnEngine::builder(4)
+            .declusterer(Arc::clone(&rr))
+            .replicas(1)
+            .page_cache(64)
+            .cache_shards(2)
+            .fault_policy(policy)
+            .ingest(IngestConfig::new(100))
+            .build(&pts)
+            .unwrap();
+        let extra = UniformGenerator::new(4).generate(20, 24);
+        for p in &extra {
+            e.insert(p.clone()).unwrap();
+        }
+        for id in [3, 11, 600] {
+            e.remove(id).unwrap();
+        }
+        let shards = |e: &ParallelKnnEngine| -> Vec<usize> {
+            e.caches().iter().map(|c| c.shard_count()).collect()
+        };
+        let before = shards(&e);
+        assert_eq!(before, vec![2; 6]);
+        e.reorganize().unwrap();
+        assert_eq!(e.delta_size(), 0);
+        for d in 0..6 {
+            assert_eq!(e.replica_disks_of(d), vec![(d + 1) % 6]);
+        }
+        assert!(Arc::ptr_eq(&e.declusterer(), &rr));
+        assert_eq!(shards(&e), before);
+        assert_eq!(e.fault_policy(), policy);
+        let data: Vec<(Point, u64)> = pts
+            .iter()
+            .chain(&extra)
+            .enumerate()
+            .map(|(i, p)| (p.clone(), i as u64))
+            .filter(|&(_, id)| ![3, 11, 600].contains(&id))
+            .collect();
+        for q in UniformGenerator::new(4).generate(6, 25) {
+            let (got, _) = e.knn(&q, 10).unwrap();
+            assert_eq!(got, brute_force_knn(&data, &q, 10));
+        }
     }
 
     #[test]

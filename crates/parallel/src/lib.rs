@@ -9,9 +9,10 @@
 //! processing \[and\] used the search time of this disk as the search time
 //! of the whole parallel X-tree").
 //!
-//! The [`SequentialEngine`] is the single-disk baseline used to compute
-//! speed-ups, and [`metrics`] contains the workload runners used by every
-//! experiment in the benchmark crate.
+//! The sequential baseline that speed-ups are computed against is the
+//! same engine on one disk (`EngineBuilder::disks(1)`), and [`metrics`]
+//! contains the workload runners used by every experiment in the
+//! benchmark crate.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -26,7 +27,6 @@ pub mod metrics;
 pub mod obs;
 pub mod options;
 pub mod pool;
-pub mod sequential;
 pub mod serve;
 pub mod throughput;
 
@@ -40,7 +40,6 @@ pub use obs::EngineMetrics;
 pub use options::{ExecutionMode, FaultPolicy, QueryMode, QueryOptions, QueryResult, RetryPolicy};
 pub use parsim_index::{LshConfig, ScanOrder, ScanTier};
 pub use pool::PendingQuery;
-pub use sequential::SequentialEngine;
 pub use serve::AdmissionConfig;
 pub use throughput::{run_batch, ThroughputReport};
 

@@ -79,7 +79,6 @@ pub(crate) struct DiskShard {
 /// The fitted, placed LSH index: the hash family, the one row store, and
 /// one bucket directory per disk.
 pub(crate) struct LshRuntime {
-    config: LshConfig,
     tables: LshTables,
     /// Color → disk, `fold_table` over the signature-bit coloring.
     fold: Vec<u32>,
@@ -120,7 +119,6 @@ impl LshRuntime {
         let fold = fold_table(colors as u32, usable);
         let rows_per_page = (PAGE_SIZE / (8 * dim + 8)).max(1);
         let mut rt = LshRuntime {
-            config,
             tables,
             fold,
             usable,
@@ -147,11 +145,6 @@ impl LshRuntime {
             }
         }
         rt
-    }
-
-    /// The build-time configuration.
-    pub(crate) fn config(&self) -> LshConfig {
-        self.config
     }
 
     /// The primary disk of bucket `(table, sig)`: the paper's coloring

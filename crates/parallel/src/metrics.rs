@@ -11,7 +11,6 @@ use parsim_storage::{DiskModel, QueryCost};
 
 use crate::declustered::DeclusteredXTree;
 use crate::engine::ParallelKnnEngine;
-use crate::sequential::SequentialEngine;
 use crate::EngineError;
 
 /// What degraded-mode execution did for one query: which disks were lost
@@ -283,20 +282,6 @@ pub fn run_declustered_workload(
     Ok(WorkloadCost::from_costs(&costs))
 }
 
-/// Runs a k-NN workload against the sequential baseline.
-pub fn run_sequential_workload(
-    engine: &SequentialEngine,
-    queries: &[Point],
-    k: usize,
-) -> Result<WorkloadCost, EngineError> {
-    let mut costs = Vec::with_capacity(queries.len());
-    for q in queries {
-        let (_, cost) = engine.knn(q, k)?;
-        costs.push(cost);
-    }
-    Ok(WorkloadCost::from_costs(&costs))
-}
-
 /// The paper's **speed-up** metric: sequential search time of the
 /// single-disk X-tree divided by the parallel search time (service time of
 /// the most-loaded disk).
@@ -319,10 +304,14 @@ mod tests {
         let queries = UniformGenerator::new(6).generate(10, 2);
         let config = EngineConfig::paper_defaults(6);
         let par = ParallelKnnEngine::builder(6).disks(8).build(&pts).unwrap();
-        let seq = SequentialEngine::build(&pts, config).unwrap();
+        let seq = ParallelKnnEngine::builder(6)
+            .config(config)
+            .disks(1)
+            .build(&pts)
+            .unwrap();
 
         let pc = run_knn_workload(&par, &queries, 10).unwrap();
-        let sc = run_sequential_workload(&seq, &queries, 10).unwrap();
+        let sc = run_knn_workload(&seq, &queries, 10).unwrap();
         assert_eq!(pc.queries, 10);
         assert!(pc.avg_max_reads > 0.0);
         assert!(pc.avg_max_reads <= pc.avg_total_reads);

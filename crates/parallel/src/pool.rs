@@ -11,6 +11,11 @@
 //! visits them, answer *and* trace are bit-identical to the deterministic
 //! forest search, whoever drives it.
 //!
+//! A task is in one of two stages: the healthy RKV cursor walking its
+//! MINDIST itinerary, or the stop list that runs every other query —
+//! one unit of work (an HS tree search or an LSH bucket scan) per disk in
+//! ascending order, then, when degraded, the failover stops.
+//!
 //! Two drivers apply that rule:
 //!
 //! * [`ExecutionMode::Scoped`](crate::ExecutionMode::Scoped) runs the
@@ -30,21 +35,22 @@
 //! workers. Workers never block on enqueue (hops are exempt from the
 //! admission bound) and every hop strictly advances a task's itinerary,
 //! so the drain always terminates: engine drop cannot deadlock even with
-//! queued queries.
+//! queued queries. A stage that panics fails only its own query with
+//! [`EngineError::Internal`]; the hop still counts the task done, so the
+//! drain is unaffected and the worker keeps serving.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parsim_geometry::Point;
-use parsim_index::knn::{ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound};
-use parsim_index::ScanOrder;
+use parsim_index::knn::{ForestCursor, SearchStats};
 use parsim_storage::DiskModel;
 
-use crate::engine::{merge_candidates, DegradedState, EngineCore, TracedAnswer};
+use crate::engine::{EngineCore, StopList, TracedAnswer};
 use crate::ingest::QueryOverlay;
-use crate::lsh::{merge_unique_candidates, DiskProbes, LshCounters};
 use crate::metrics::QueryTrace;
 use crate::obs::EngineMetrics;
 use crate::options::QueryResult;
@@ -58,11 +64,6 @@ pub(crate) struct QueryTask {
     pub(crate) query: Point,
     /// Result count.
     pub(crate) k: usize,
-    /// Leaf-scan precision tier (the RKV cursor and degraded state carry
-    /// their own copy; this one feeds the HS per-disk searches).
-    pub(crate) tier: ScanTier,
-    /// Scan-order knob, carried alongside the tier for the same reason.
-    pub(crate) order: ScanOrder,
     /// Per-disk work counters, accumulated as the task hops.
     pub(crate) stats: Vec<SearchStats>,
     /// Submission instant (the trace's wall time spans queueing too).
@@ -98,44 +99,21 @@ pub(crate) enum Stage {
         /// Next stop.
         pos: usize,
     },
-    /// Healthy HS: disk-by-disk best-first searches under one carried
-    /// pruning bound. Answers are exact; page traces are
-    /// execution-shaped (see [`crate::ParallelKnnEngine::submit`]).
-    Hs {
-        /// The carried pruning bound, tightened at every disk.
-        bound: SharedBound,
-        /// Per-disk candidate lists, merged at the last disk.
-        candidates: Vec<Vec<Neighbor>>,
-        /// Next disk.
-        next: usize,
-    },
-    /// Degraded execution of either tier: primaries, then failover.
-    Degraded {
-        /// The shared degraded state machine.
-        state: DegradedState,
+    /// Every other query: one unit of work per disk in ascending disk
+    /// order — an HS (or degraded RKV) tree search under a carried
+    /// pruning bound, or an LSH bucket scan — then, when degraded, the
+    /// failover stops.
+    Stops {
+        /// The stop list and its per-disk results.
+        list: StopList,
         /// Which half of the itinerary the task is in.
         phase: Phase,
     },
-    /// Healthy approximate execution: the query's LSH probe plan,
-    /// grouped by owning disk and visited in ascending disk order. Each
-    /// stop scans its buckets and keeps the disk-local top-k; the last
-    /// stop merges with cross-disk deduplication.
-    Approx {
-        /// Probe targets grouped by owning disk, ascending.
-        plan: Vec<DiskProbes>,
-        /// Next plan entry.
-        pos: usize,
-        /// Per-disk candidate lists, merged at the last stop.
-        candidates: Vec<Vec<Neighbor>>,
-        /// LSH work counters, folded into the trace at completion.
-        counters: LshCounters,
-    },
 }
 
-/// Progress marker of a degraded query.
+/// Progress marker of a stop-list query.
 pub(crate) enum Phase {
-    /// Primary stops, in the order [`DegradedState::primary_stop`] lists
-    /// them.
+    /// Primary stops, in the order [`StopList::primary_stop`] lists them.
     Primaries {
         /// Next primary stop.
         pos: usize,
@@ -438,18 +416,35 @@ fn hop(core: &EngineCore, disk: usize, task: Box<QueryTask>) -> Outcome {
     }
     core.begin_wave(disk, task.wave);
     let pages_before = task.stats[disk].pages;
-    match step(core, disk, task) {
-        Outcome::Forward(next, mut task) => {
+    let completion = Arc::clone(&task.completion);
+    match std::panic::catch_unwind(AssertUnwindSafe(|| step(core, disk, task))) {
+        Ok(Outcome::Forward(next, mut task)) => {
             let read = task.stats[disk].pages - pages_before;
             task.spent_micros += core.array.model().service_time(read).as_micros() as u64;
             Outcome::Forward(next, task)
         }
-        Outcome::Done => Outcome::Done,
+        Ok(Outcome::Done) => Outcome::Done,
+        // A panicking stage fails its own query only: the task is gone,
+        // so deliver the error here and count the query done — the pool
+        // keeps draining and the worker keeps serving.
+        Err(_) => {
+            if let Some(m) = &core.metrics {
+                m.record_failure();
+            }
+            completion.complete(Err(EngineError::Internal(format!(
+                "a query stage panicked on disk {disk}"
+            ))));
+            Outcome::Done
+        }
     }
 }
 
 /// Advances `task` as far as this disk can, then forwards or completes.
 fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
+    #[cfg(test)]
+    if core.panic_in_step.load(Ordering::Relaxed) {
+        panic!("injected stage panic on disk {disk}");
+    }
     let mut forward: Option<usize> = None;
     let mut error: Option<EngineError> = None;
     match task.stage {
@@ -477,55 +472,14 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
                 *pos += 1;
             }
         }
-        Stage::Hs {
-            ref bound,
-            ref mut candidates,
-            ref mut next,
-        } => {
-            while *next < core.trees.len() {
-                if *next != disk {
-                    forward = Some(*next);
-                    break;
-                }
-                let (cands, s) =
-                    core.hs_visit(disk, &task.query, task.k, bound, task.tier, task.order);
-                task.stats[disk].merge(s);
-                candidates[disk] = cands;
-                *next += 1;
-            }
-        }
-        Stage::Approx {
-            ref plan,
-            ref mut pos,
-            ref mut candidates,
-            ref mut counters,
-        } => {
-            while *pos < plan.len() {
-                let entry = &plan[*pos];
-                if entry.disk != disk {
-                    forward = Some(entry.disk);
-                    break;
-                }
-                let lsh = core.lsh.as_ref().expect("Approx stage needs the LSH tier");
-                candidates[disk] = lsh.scan_disk(
-                    disk,
-                    &entry.buckets,
-                    &task.query,
-                    task.k,
-                    &mut task.stats[disk],
-                    counters,
-                );
-                *pos += 1;
-            }
-        }
-        Stage::Degraded {
-            ref mut state,
+        Stage::Stops {
+            ref mut list,
             ref mut phase,
         } => loop {
             match phase {
                 Phase::Primaries { pos } => {
-                    let Some(stop) = state.primary_stop(*pos, core.trees.len()) else {
-                        core.plan_failover(state);
+                    let Some(stop) = list.primary_stop(*pos, core.trees.len()) else {
+                        core.plan_failover(list);
                         *phase = Phase::Failover { pos: 0 };
                         continue;
                     };
@@ -533,20 +487,19 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
                         forward = Some(stop);
                         break;
                     }
-                    core.degraded_primary(disk, &task.query, task.k, state, &mut task.stats);
+                    core.run_primary(disk, &task.query, task.k, list, &mut task.stats);
                     *pos += 1;
                 }
                 Phase::Failover { pos } => {
-                    if *pos >= state.itinerary.len() {
+                    if *pos >= list.itinerary.len() {
                         break;
                     }
-                    let (_, host) = state.itinerary[*pos];
+                    let (_, host) = list.itinerary[*pos];
                     if host != disk {
                         forward = Some(host);
                         break;
                     }
-                    match core.degraded_failover(*pos, &task.query, task.k, state, &mut task.stats)
-                    {
+                    match core.run_failover(*pos, &task.query, task.k, list, &mut task.stats) {
                         Ok(()) => *pos += 1,
                         Err(e) => {
                             error = Some(e);
@@ -587,21 +540,7 @@ pub(crate) fn complete(core: &EngineCore, task: QueryTask) {
     let mut trace = QueryTrace::from_stats(&stats, start.elapsed(), core.array.model());
     let answer = match stage {
         Stage::Rkv { cursor, .. } => Ok(cursor.finish()),
-        Stage::Hs { candidates, .. } => {
-            Ok(merge_candidates(candidates.iter().map(Vec::as_slice), k))
-        }
-        Stage::Approx {
-            candidates,
-            counters,
-            ..
-        } => {
-            counters.fold_into(&mut trace);
-            Ok(merge_unique_candidates(
-                candidates.iter().map(Vec::as_slice),
-                k,
-            ))
-        }
-        Stage::Degraded { state, .. } => core.finish_degraded(state, k, &mut trace),
+        Stage::Stops { list, .. } => core.finish_stops(list, k, &mut trace),
     };
     // Record before delivery so a snapshot taken after `wait` returns
     // always sees this query.

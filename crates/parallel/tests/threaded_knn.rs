@@ -3,7 +3,7 @@
 //! The per-disk parallel search ([`ParallelKnnEngine::knn`] /
 //! [`ParallelKnnEngine::knn_traced`]) and the batched worker pool
 //! ([`ParallelKnnEngine::knn_batch_with`]) must return exactly the answers
-//! of the single-disk [`SequentialEngine`] under any worker count, and the
+//! of the single-disk sequential baseline under any worker count, and the
 //! per-query traces must account for every page the shared disks served —
 //! even while many queries run concurrently.
 
@@ -15,13 +15,21 @@ use parsim_index::knn::{brute_force_knn, Neighbor};
 use parsim_index::KnnAlgorithm;
 use parsim_parallel::{
     EngineConfig, ExecutionMode, ParallelKnnEngine, QueryOptions, QueryTrace, ScanTier,
-    SequentialEngine,
 };
 
 const DIM: usize = 8;
 const DISKS: usize = 8;
 
-fn setup(algorithm: KnnAlgorithm) -> (ParallelKnnEngine, SequentialEngine, Vec<Point>) {
+/// The sequential baseline: the same engine on one disk.
+fn sequential(pts: &[Point], config: EngineConfig) -> ParallelKnnEngine {
+    ParallelKnnEngine::builder(DIM)
+        .config(config)
+        .disks(1)
+        .build(pts)
+        .unwrap()
+}
+
+fn setup(algorithm: KnnAlgorithm) -> (ParallelKnnEngine, ParallelKnnEngine, Vec<Point>) {
     let pts = UniformGenerator::new(DIM).generate(4000, 21);
     let mut config = EngineConfig::paper_defaults(DIM);
     config.algorithm = algorithm;
@@ -30,7 +38,7 @@ fn setup(algorithm: KnnAlgorithm) -> (ParallelKnnEngine, SequentialEngine, Vec<P
         .disks(DISKS)
         .build(&pts)
         .unwrap();
-    let seq = SequentialEngine::build(&pts, config).unwrap();
+    let seq = sequential(&pts, config);
     let queries = UniformGenerator::new(DIM).generate(24, 77);
     (par, seq, queries)
 }
@@ -201,7 +209,7 @@ fn clustered_knn_is_bit_identical_and_abandons_distances() {
         .disks(DISKS)
         .build(&pts)
         .unwrap();
-    let seq = SequentialEngine::build(&pts, config).unwrap();
+    let seq = sequential(&pts, config);
     // Query from the same distribution so queries land inside clusters.
     let queries = ClusteredGenerator::new(DIM, 8, 0.03).generate(16, 77);
 
@@ -259,7 +267,7 @@ fn engine_pair(pts: &[Point], algorithm: KnnAlgorithm) -> (ParallelKnnEngine, Pa
 fn check_pooled_bit_identity(pts: &[Point], queries: &[Point]) {
     let (scoped, pooled) = engine_pair(pts, KnnAlgorithm::Rkv);
     let config = EngineConfig::paper_defaults(DIM);
-    let seq = SequentialEngine::build(pts, config).unwrap();
+    let seq = sequential(pts, config);
     let data: Vec<(Point, u64)> = pts
         .iter()
         .enumerate()

@@ -73,7 +73,7 @@
 //! | [`hilbert`] | d-dimensional Hilbert and Z-order curves |
 //! | [`index`] | R\*-tree / X-tree with RKV and HS k-NN |
 //! | [`decluster`] | round robin, disk modulo, FX, Hilbert, **near-optimal** |
-//! | [`parallel`] | the parallel engine, sequential baseline and metrics |
+//! | [`parallel`] | the parallel engine (on one disk, the sequential baseline) and metrics |
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -109,7 +109,7 @@ pub mod prelude {
         run_knn_workload, run_traced_workload, AdmissionConfig, DeclusteredXTree, DegradedInfo,
         EngineBuilder, EngineConfig, EngineError, EngineMetrics, ExecutionMode, FaultPolicy,
         IngestConfig, ParallelKnnEngine, PendingQuery, QueryOptions, QueryResult, QueryTrace,
-        RetryPolicy, SequentialEngine, SplitStrategy, ThroughputReport, WorkloadCost,
+        RetryPolicy, SplitStrategy, ThroughputReport, WorkloadCost,
     };
     pub use parsim_storage::{
         DiskArray, DiskModel, FaultInjector, FaultKind, LruTracker, QueryCost, ShardedLru, SimDisk,

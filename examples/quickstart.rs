@@ -5,7 +5,7 @@
 //! cargo run --release -p parsim --example quickstart
 //! ```
 
-use parsim::parallel::metrics::{run_sequential_workload, speedup};
+use parsim::parallel::metrics::speedup;
 use parsim::prelude::*;
 
 fn main() {
@@ -48,11 +48,16 @@ fn main() {
         cost.sequential_time.as_secs_f64() * 1e3
     );
 
-    // Speed-up over the single-disk X-tree, averaged over a workload.
+    // Speed-up over the single-disk X-tree — the same engine on one
+    // disk — averaged over a workload.
     let queries = UniformGenerator::new(dim).generate(30, 99);
-    let seq = SequentialEngine::build(&data, config).unwrap();
+    let seq = ParallelKnnEngine::builder(dim)
+        .config(config)
+        .disks(1)
+        .build(&data)
+        .unwrap();
     let par_cost = run_knn_workload(&engine, &queries, 10).unwrap();
-    let seq_cost = run_sequential_workload(&seq, &queries, 10).unwrap();
+    let seq_cost = run_knn_workload(&seq, &queries, 10).unwrap();
     println!(
         "\nworkload of {} queries: speed-up over the sequential X-tree = {:.2} (ideal {})",
         queries.len(),
