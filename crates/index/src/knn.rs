@@ -957,19 +957,24 @@ fn hs_search(
 }
 
 /// Exhaustive scan — the ground truth used by tests and the tiny-database
-/// fallback.
+/// fallback. Ranks by `(dist2, item)`, the search heap's order, and takes
+/// the square root only afterwards: two distinct squared distances that
+/// round to the same `dist` keep their true order instead of falling back
+/// to the id.
 pub fn brute_force_knn(data: &[(Point, u64)], query: &Point, k: usize) -> Vec<Neighbor> {
-    let mut all: Vec<Neighbor> = data
+    let mut all: Vec<(f64, u64, &Point)> = data
         .iter()
-        .map(|(p, item)| Neighbor {
-            item: *item,
-            point: p.clone(),
-            dist: p.dist(query),
-        })
+        .map(|(p, item)| (p.dist2(query), *item, p))
         .collect();
-    all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     all.truncate(k);
-    all
+    all.into_iter()
+        .map(|(dist2, item, p)| Neighbor {
+            item,
+            point: p.clone(),
+            dist: dist2.sqrt(),
+        })
+        .collect()
 }
 
 // ----- helpers -------------------------------------------------------------
@@ -1621,6 +1626,28 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(gs, ws, "no permuted leaves: stats must match exactly");
         }
+    }
+
+    #[test]
+    fn brute_force_orders_by_squared_distance_before_id() {
+        // dist2 = 4 + 2^-50 and 4: distinct, but both round to dist 2.0.
+        let far = Point::new(vec![2.0, 2f64.powi(-25)]).unwrap();
+        let near = Point::new(vec![2.0, 0.0]).unwrap();
+        let origin = Point::new(vec![0.0, 0.0]).unwrap();
+        assert!(far.dist2(&origin) > near.dist2(&origin));
+        assert_eq!(far.dist(&origin), near.dist(&origin));
+        let data = vec![(far.clone(), 0), (near.clone(), 1)];
+        let res = brute_force_knn(&data, &origin, 1);
+        assert_eq!(res[0].item, 1);
+        assert_eq!(res[0].dist, 2.0);
+        let ids: Vec<u64> = brute_force_knn(&data, &origin, 2)
+            .iter()
+            .map(|n| n.item)
+            .collect();
+        assert_eq!(ids, vec![1, 0]);
+        // The tree's heap agrees.
+        let tree = build_tree(&[far, near], 2, TreeVariant::xtree_default());
+        assert_eq!(tree.knn(&origin, 1, KnnAlgorithm::Rkv), res);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! header pushes it just past a page boundary) occupies consecutive pages
 //! on the disk.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -263,15 +264,23 @@ impl SpatialTree {
             .and_then(|p| p.with_capacities(leaf_capacity, inner_capacity))
             .map_err(PersistError::Index)?;
 
+        if height > MAX_HEIGHT {
+            return Err(PersistError::Corrupt("stored height out of range"));
+        }
+
         let mut tree = SpatialTree::new(params);
-        let root = load_node(
+        let mut load = Load {
             disk,
-            root_page,
             dim,
             leaf_capacity,
             inner_capacity,
-            &mut tree,
-        )?;
+            visited: HashSet::new(),
+            points: 0,
+        };
+        let root = load_node(&mut load, &mut tree, root_page, height)?;
+        if load.points != len {
+            return Err(PersistError::Corrupt("stored len differs from the points"));
+        }
         // Replace the bootstrap empty leaf with the loaded root.
         tree.nodes[tree.root.0 as usize] = None;
         tree.free.push(tree.root);
@@ -283,14 +292,37 @@ impl SpatialTree {
     }
 }
 
-fn load_node(
-    disk: &Arc<SimDisk>,
-    page: PageId,
+/// Real trees are a few levels deep. A larger stored height is treated as
+/// a corrupt meta block, which also bounds the recursive load's stack.
+const MAX_HEIGHT: usize = 64;
+
+/// One load of a persisted tree, with what it checks along the way: a
+/// corrupt block yields [`PersistError::Corrupt`], never a panic, an abort
+/// or a tree that answers wrongly.
+struct Load<'a> {
+    disk: &'a Arc<SimDisk>,
     dim: usize,
     leaf_capacity: usize,
     inner_capacity: usize,
+    /// First pages of the blocks loaded so far: a page referenced twice
+    /// (a cycle, or two parents) is corrupt.
+    visited: HashSet<u64>,
+    /// Points recounted over the loaded leaves.
+    points: usize,
+}
+
+/// Loads the node stored at `page`, `level` levels above the leaves
+/// (leaves sit at level 1, the root at the stored height).
+fn load_node(
+    load: &mut Load<'_>,
     tree: &mut SpatialTree,
+    page: PageId,
+    level: usize,
 ) -> Result<NodeId, PersistError> {
+    if !load.visited.insert(page.0) {
+        return Err(PersistError::Corrupt("page referenced twice"));
+    }
+    let (disk, dim) = (load.disk, load.dim);
     // Read the first page to learn the entry count, then the rest of the
     // block if the node spans several pages.
     let head = read_block(disk, page, 1)?;
@@ -298,6 +330,9 @@ fn load_node(
     let tag = r.u8()?;
     match tag {
         TAG_LEAF => {
+            if level != 1 {
+                return Err(PersistError::Corrupt("leaf off the stored height"));
+            }
             let count = r.u16()? as usize;
             let bytes_needed = 3 + count * (8 + 8 * dim);
             let block = if bytes_needed > head.len() {
@@ -321,13 +356,17 @@ fn load_node(
                     item,
                 });
             }
-            let pages = entries.len().div_ceil(leaf_capacity).max(1) as u32;
+            load.points += count;
+            let pages = entries.len().div_ceil(load.leaf_capacity).max(1) as u32;
             Ok(tree.alloc(Node::Leaf {
                 entries: LeafEntries::from_entries(dim, entries),
                 pages,
             }))
         }
         TAG_INNER => {
+            if level <= 1 {
+                return Err(PersistError::Corrupt("tree deeper than its stored height"));
+            }
             let count = r.u16()? as usize;
             let bytes_needed = 11 + count * (8 + 16 * dim);
             let block = if bytes_needed > head.len() {
@@ -356,10 +395,19 @@ fn load_node(
             }
             let mut entries = InnerEntries::with_capacity(dim, count);
             for (child_page, mbr) in raw {
-                let child = load_node(disk, child_page, dim, leaf_capacity, inner_capacity, tree)?;
+                let child = load_node(load, tree, child_page, level - 1)?;
+                // The search prunes on the stored MBR, so it must cover
+                // everything below it.
+                let covered = tree
+                    .node(child)
+                    .mbr()
+                    .is_some_and(|inner| mbr.contains_rect(&inner));
+                if !covered {
+                    return Err(PersistError::Corrupt("child outside its entry's MBR"));
+                }
                 entries.push(&mbr, child);
             }
-            let pages = entries.len().div_ceil(inner_capacity).max(1) as u32;
+            let pages = entries.len().div_ceil(load.inner_capacity).max(1) as u32;
             Ok(tree.alloc(Node::Inner {
                 entries,
                 pages,
@@ -472,6 +520,140 @@ mod tests {
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("corrupt meta must not load"),
         }
+    }
+
+    /// The root page id a meta block points to (bytes 15..23).
+    fn root_page(disk: &SimDisk, handle: PersistedTree) -> PageId {
+        let meta = disk.read(handle.meta).unwrap();
+        PageId(u64::from_le_bytes(meta[15..23].try_into().unwrap()))
+    }
+
+    #[test]
+    fn a_child_pointing_at_its_ancestor_is_corrupt_not_a_stack_overflow() {
+        let data = items(3, 1500, 1);
+        let params = TreeParams::for_dim(3, TreeVariant::xtree_default()).unwrap();
+        let tree = SpatialTree::bulk_load(params, data).unwrap();
+        assert!(tree.height() > 1);
+        let disk = Arc::new(SimDisk::new(0));
+        let handle = tree.persist(&disk).unwrap();
+        let root = root_page(&disk, handle);
+        // The root's first entry starts after tag, count and split_dims.
+        let mut page = disk.read(root).unwrap().to_vec();
+        page[11..19].copy_from_slice(&root.0.to_le_bytes());
+        disk.write(root, Bytes::from(page)).unwrap();
+        assert!(matches!(
+            SpatialTree::load(&disk, handle),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_wrong_height_len_or_shrunk_mbr_is_corrupt() {
+        let data = items(2, 300, 6);
+        let params = TreeParams::for_dim(2, TreeVariant::RStar)
+            .unwrap()
+            .with_capacities(6, 6)
+            .unwrap();
+        let tree = SpatialTree::bulk_load(params, data).unwrap();
+        // Persists the tree afresh, overwrites `bytes` at `offset` of the
+        // meta block or of the root page, and loads it back.
+        let corrupt = |in_meta: bool, offset: usize, bytes: &[u8]| {
+            let disk = Arc::new(SimDisk::new(0));
+            let handle = tree.persist(&disk).unwrap();
+            let at = if in_meta {
+                handle.meta
+            } else {
+                root_page(&disk, handle)
+            };
+            let mut page = disk.read(at).unwrap().to_vec();
+            page[offset..offset + bytes.len()].copy_from_slice(bytes);
+            disk.write(at, Bytes::from(page)).unwrap();
+            SpatialTree::load(&disk, handle)
+        };
+        let height = tree.height() as u32;
+        for h in [height - 1, height + 1] {
+            assert!(matches!(
+                corrupt(true, 3, &h.to_le_bytes()),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+        let len = tree.len() as u64;
+        for l in [len - 1, len + 1] {
+            assert!(matches!(
+                corrupt(true, 7, &l.to_le_bytes()),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+        // Move the root's first entry's upper corner onto its lower one:
+        // the child's points no longer fit inside the entry.
+        let Node::Inner { entries, .. } = tree.node(tree.root_id()) else {
+            panic!("want an inner root");
+        };
+        let mbr = entries.mbr(0);
+        let lo: Vec<u8> = (0..2).flat_map(|a| mbr.lo(a).to_le_bytes()).collect();
+        assert!(matches!(
+            corrupt(false, 19 + 16, &lo),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn single_byte_flips_give_an_error_or_a_tree_that_answers_exactly() {
+        let data = items(2, 120, 7);
+        let params = TreeParams::for_dim(2, TreeVariant::xtree_default())
+            .unwrap()
+            .with_capacities(5, 4)
+            .unwrap();
+        let tree = SpatialTree::bulk_load(params, data).unwrap();
+        assert!(tree.height() >= 3);
+        let clean = Arc::new(SimDisk::new(0));
+        let handle = tree.persist(&clean).unwrap();
+        let pages: Vec<Bytes> = (0..clean.page_count())
+            .map(|i| clean.read(PageId(i)).unwrap())
+            .collect();
+        let (mut loaded_ok, mut rejected) = (0, 0);
+        for (at, page) in pages.iter().enumerate() {
+            for byte in 0..page.len() {
+                for mask in [0xFFu8, 0x01] {
+                    let disk = Arc::new(SimDisk::new(0));
+                    for (i, p) in pages.iter().enumerate() {
+                        let mut p = p.to_vec();
+                        if i == at {
+                            p[byte] ^= mask;
+                        }
+                        disk.allocate(Bytes::from(p)).unwrap();
+                    }
+                    let Ok(loaded) = SpatialTree::load(&disk, handle) else {
+                        rejected += 1;
+                        continue;
+                    };
+                    loaded_ok += 1;
+                    // Whatever the flip changed, the tree must answer
+                    // exactly over the points it now holds.
+                    let dim = loaded.params().dim;
+                    let held: Vec<(Point, u64)> = loaded
+                        .iter_nodes()
+                        .filter_map(|n| match n {
+                            Node::Leaf { entries, .. } => Some(entries.iter()),
+                            Node::Inner { .. } => None,
+                        })
+                        .flatten()
+                        .map(|(row, item)| (Point::from_vec(row.to_vec()), item))
+                        .collect();
+                    assert_eq!(held.len(), loaded.len(), "page {at} byte {byte}");
+                    for q in UniformGenerator::new(dim).generate(2, byte as u64) {
+                        for algo in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
+                            assert_eq!(
+                                loaded.knn(&q, 5, algo),
+                                brute_force_knn(&held, &q, 5),
+                                "page {at} byte {byte} mask {mask:#x}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0 && loaded_ok > 0, "{rejected} / {loaded_ok}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use parsim_decluster::near_optimal::{col, colors_required, fold_table};
-use parsim_geometry::Point;
+use parsim_geometry::{kernel, Point};
 use parsim_index::knn::{Neighbor, SearchStats};
 use parsim_index::{LshConfig, LshTables};
 use parsim_storage::PAGE_SIZE;
@@ -184,10 +184,15 @@ impl LshRuntime {
     }
 
     /// Scans `disk`'s buckets for the given probe targets: charges
-    /// pages to `stats`, computes the exact f64 distance of every
-    /// first-seen row, and returns that disk's candidates sorted
-    /// `(dist, item)` and truncated to `k` (the global top-`k` is a
-    /// subset of the union of per-disk top-`k`s).
+    /// pages to `stats`, computes the exact f64 distance of every unique
+    /// row, and returns that disk's `k` best sorted `(dist, item)` (the
+    /// global top-`k` is a subset of the union of per-disk top-`k`s).
+    ///
+    /// The buckets hold row ids into the one shared row store, so a
+    /// candidate costs one distance computation: the probed buckets' ids
+    /// are gathered and deduplicated (a row several tables hash to the
+    /// probed buckets is scored once), each is scored in place, the `k`
+    /// best are selected, and only those become [`Neighbor`]s.
     pub(crate) fn scan_disk(
         &self,
         disk: usize,
@@ -198,34 +203,52 @@ impl LshRuntime {
         counters: &mut LshCounters,
     ) -> Vec<Neighbor> {
         let directory = &self.shards[disk].buckets;
-        let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<Neighbor> = Vec::new();
+        let mut rows: Vec<u32> = Vec::new();
         for key in buckets {
             counters.probes += 1;
-            let Some(rows) = directory.get(key).filter(|r| !r.is_empty()) else {
+            let Some(bucket) = directory.get(key).filter(|r| !r.is_empty()) else {
                 counters.empty_probes += 1;
                 continue;
             };
-            stats.pages += (rows.len().div_ceil(self.rows_per_page)).max(1) as u64;
-            for &row in rows {
-                if !seen.insert(row) {
-                    continue;
-                }
-                let row = row as usize;
-                let point =
-                    Point::from_vec(self.rows[row * self.dim..(row + 1) * self.dim].to_vec());
-                stats.dist_evals += 1;
-                counters.candidates += 1;
-                out.push(Neighbor {
-                    item: self.items[row],
-                    dist: point.dist(query),
-                    point,
-                });
-            }
+            stats.pages += (bucket.len().div_ceil(self.rows_per_page)).max(1) as u64;
+            rows.extend_from_slice(bucket);
         }
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-        out.truncate(k);
-        out
+        rows.sort_unstable();
+        rows.dedup();
+        stats.dist_evals += rows.len() as u64;
+        counters.candidates += rows.len() as u64;
+        if k == 0 {
+            return Vec::new();
+        }
+
+        let mut scored: Vec<(f64, u64, u32)> = rows
+            .iter()
+            .map(|&row| {
+                let dist = kernel::dist2(self.row(row), query.coords()).sqrt();
+                (dist, self.items[row as usize], row)
+            })
+            .collect();
+        let by_key =
+            |a: &(f64, u64, u32), b: &(f64, u64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if k < scored.len() {
+            scored.select_nth_unstable_by(k - 1, by_key);
+            scored.truncate(k);
+        }
+        scored.sort_unstable_by(by_key);
+        scored
+            .into_iter()
+            .map(|(dist, item, row)| Neighbor {
+                item,
+                point: Point::from_vec(self.row(row).to_vec()),
+                dist,
+            })
+            .collect()
+    }
+
+    /// The coordinates of shared row `row`.
+    fn row(&self, row: u32) -> &[f64] {
+        let start = row as usize * self.dim;
+        &self.rows[start..start + self.dim]
     }
 
     /// Scans the mirror of `disk`'s shard (the failover path). The mirror
@@ -365,6 +388,7 @@ mod tests {
             let prim = rt.scan_disk(dp.disk, &dp.buckets, q, 10, &mut s1, &mut c1);
             let mirr = rt.scan_mirror(dp.disk, &dp.buckets, q, 10, &mut s2, &mut c2);
             assert_eq!(prim, mirr);
+            assert_eq!(prim, union_oracle(&rt, dp.disk, &dp.buckets, q, 10));
             assert_eq!(s1.pages, s2.pages);
             assert_eq!(s1.dist_evals, s2.dist_evals);
             assert_eq!(c1.candidates, c2.candidates);
@@ -373,6 +397,111 @@ mod tests {
         }
         let plain = LshRuntime::build(cfg, 4, &data, 4, false);
         assert!(plain.mirror_host(0).is_none());
+    }
+
+    /// The scan's oracle: every row of the probed buckets, once, ranked
+    /// by `(dist, item)` through `Point::dist` and cut to `k`.
+    fn union_oracle(
+        rt: &LshRuntime,
+        disk: usize,
+        buckets: &[(u32, u32)],
+        q: &Point,
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let rows: std::collections::BTreeSet<u32> = buckets
+            .iter()
+            .filter_map(|key| rt.shards[disk].buckets.get(key))
+            .flatten()
+            .copied()
+            .collect();
+        let mut all: Vec<Neighbor> = rows
+            .into_iter()
+            .map(|row| {
+                let point = Point::from_vec(rt.row(row).to_vec());
+                Neighbor {
+                    item: rt.items[row as usize],
+                    dist: point.dist(q),
+                    point,
+                }
+            })
+            .collect();
+        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
+        all.truncate(k);
+        all
+    }
+
+    fn scan(rt: &LshRuntime, dp: &DiskProbes, q: &Point, k: usize) -> (Vec<Neighbor>, u64) {
+        let mut stats = SearchStats::default();
+        let mut c = LshCounters::default();
+        let got = rt.scan_disk(dp.disk, &dp.buckets, q, k, &mut stats, &mut c);
+        assert_eq!(stats.dist_evals, c.candidates);
+        (got, c.candidates)
+    }
+
+    #[test]
+    fn a_row_in_several_probed_tables_is_scored_and_returned_once() {
+        let data = items(300, 5, 17);
+        let cfg = LshConfig::new(4).tables(4).hyperplanes(6);
+        // One disk owns every bucket, so a query's own row sits in all four
+        // of the buckets that disk is asked to probe.
+        let rt = LshRuntime::build(cfg, 5, &data, 1, false);
+        let (q, item) = &data[42];
+        let plan = rt.plan(q, 1);
+        assert_eq!(plan.len(), 1);
+        let dp = &plan[0];
+        assert_eq!(dp.buckets.len(), 4);
+        let gathered: usize = dp
+            .buckets
+            .iter()
+            .map(|key| rt.shards[0].buckets[key].len())
+            .sum();
+        let oracle = union_oracle(&rt, 0, &dp.buckets, q, usize::MAX);
+        let (got, candidates) = scan(&rt, dp, q, usize::MAX);
+        assert_eq!(candidates as usize, oracle.len());
+        assert!(oracle.len() < gathered, "no row was shared between tables");
+        assert_eq!(got, oracle);
+        assert_eq!(got.iter().filter(|n| n.item == *item).count(), 1);
+        assert_eq!((got[0].item, got[0].dist), (*item, 0.0));
+    }
+
+    #[test]
+    fn k_zero_scores_the_candidates_but_returns_nothing() {
+        let data = items(300, 6, 8);
+        let cfg = LshConfig::new(5).tables(3).hyperplanes(7);
+        let rt = LshRuntime::build(cfg, 6, &data, 4, false);
+        let q = &data[3].0;
+        for dp in rt.plan(q, 2) {
+            let (got, candidates) = scan(&rt, &dp, q, 0);
+            assert!(got.is_empty());
+            assert_eq!(
+                candidates as usize,
+                union_oracle(&rt, dp.disk, &dp.buckets, q, usize::MAX).len()
+            );
+        }
+    }
+
+    #[test]
+    fn the_scan_is_the_top_k_of_the_probed_rows() {
+        let data = items(400, 7, 12);
+        let cfg = LshConfig::new(6).tables(4).hyperplanes(8);
+        let rt = LshRuntime::build(cfg, 7, &data, 4, false);
+        for qi in [0, 77, 199] {
+            let q = &data[qi].0;
+            for dp in rt.plan(q, 3) {
+                let all = union_oracle(&rt, dp.disk, &dp.buckets, q, usize::MAX);
+                // k at, above and far above the candidate count returns them
+                // all in order; k below it returns the oracle's prefix.
+                for k in [all.len(), all.len() + 1, usize::MAX, 1, 3, all.len() / 2] {
+                    let (got, _) = scan(&rt, &dp, q, k);
+                    assert_eq!(
+                        got,
+                        all[..k.min(all.len())],
+                        "query {qi} disk {} k {k}",
+                        dp.disk
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -241,13 +241,22 @@ fn queries_across_a_live_rebuild_swap_lose_nothing() {
         writer.join().unwrap();
     });
 
-    // The threshold must actually have tripped mid-stream.
-    let rebuilds = engine
-        .metrics()
-        .unwrap()
-        .snapshot()
-        .counter_total("parsim_rebuilds_total");
-    assert!(rebuilds >= 1, "no background rebuild ran");
+    // The threshold must actually have tripped mid-stream. The counter
+    // counts *completed* rebuilds, and the triggered one runs in the
+    // background, so it may still be building when the writer returns:
+    // wait for it (bounded) before `flush()` runs a rebuild of its own.
+    let rebuilds = || {
+        engine
+            .metrics()
+            .unwrap()
+            .snapshot()
+            .counter_total("parsim_rebuilds_total")
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while rebuilds() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(rebuilds() >= 1, "no background rebuild ran");
 
     // Quiescence: drain everything and demand bit-identity to a fresh
     // bulk load of the union.
