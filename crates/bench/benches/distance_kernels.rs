@@ -5,10 +5,10 @@
 //! bound, so roughly half the evaluations can stop at a checkpoint —
 //! a stand-in for the k-th-best bound the k-NN scan prunes against.
 //!
-//! The `f32_lower_bound` and `q8_lower_bound` rows measure the tiered
-//! scan's phase 1 under the same median bound: the low-precision bounded
-//! kernel against the certified prune threshold — the per-row cost that
-//! replaces a full f64 evaluation for every row the tier proves away.
+//! The `f32_lower_bound` row measures the f32 tier's phase 1 under the
+//! same median bound: the low-precision bounded kernel against the
+//! certified prune threshold — the per-row cost that replaces a full f64
+//! evaluation for every row the tier proves away.
 //!
 //! The `mindist` group measures the directory layer: one MINDIST per entry
 //! of 10 000 directory entries, packed into page-sized nodes that are
@@ -82,39 +82,6 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
 
-        // Energy-ordered abandon: the same rows with coordinates permuted
-        // by descending variance (the PR-9 leaf layout), scanned under the
-        // certified order-prune bound. High-energy lanes accumulate the
-        // partial sum fastest, so abandons fire at earlier checkpoints —
-        // this row's gap to `early_abandon` is the layout's win.
-        let mut lanes: Vec<usize> = (0..dim).collect();
-        let var: Vec<f64> = (0..dim)
-            .map(|d| {
-                let mean = rows.iter().map(|r| r[d]).sum::<f64>() / rows.len() as f64;
-                rows.iter().map(|r| (r[d] - mean).powi(2)).sum::<f64>()
-            })
-            .collect();
-        lanes.sort_by(|&a, &b| var[b].total_cmp(&var[a]));
-        let permute = |v: &[f64]| -> Vec<f64> { lanes.iter().map(|&d| v[d]).collect() };
-        let prows: Vec<Vec<f64>> = rows.iter().map(|r| permute(r)).collect();
-        let pquery = permute(&query);
-        let pbound = kernel::order_prune_bound(bound);
-        group.bench_with_input(
-            BenchmarkId::new("early_abandon_energy", dim),
-            &dim,
-            |b, _| {
-                b.iter(|| {
-                    let mut kept = 0usize;
-                    for r in &prows {
-                        if kernel::dist2_bounded(black_box(&pquery), r, pbound).is_some() {
-                            kept += 1;
-                        }
-                    }
-                    kept
-                })
-            },
-        );
-
         // Phase-1 f32 mirror scan: certified threshold, bounded kernel.
         let rows32: Vec<Vec<f32>> = rows
             .iter()
@@ -134,46 +101,8 @@ fn bench_kernels(c: &mut Criterion) {
                 let mut pruned = 0usize;
                 for m in &rows32 {
                     if kernel::f32_row_prunable(
-                        kernel::dist2_f32_bounded(black_box(&query32), m, b32),
+                        kernel::dist2_f32_bounded_depth(black_box(&query32), m, b32).0,
                         t32,
-                    ) {
-                        pruned += 1;
-                    }
-                }
-                pruned
-            })
-        });
-
-        // Phase-1 q8 code scan: one shared grid over the whole block.
-        let lo = rows.iter().flatten().cloned().fold(f64::INFINITY, f64::min);
-        let hi = rows
-            .iter()
-            .flatten()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let scale = (hi - lo) / 255.0;
-        let q8 = |v: &[f64]| -> Vec<u8> {
-            v.iter()
-                .map(|&c| ((c - lo) / scale).round().clamp(0.0, 255.0) as u8)
-                .collect()
-        };
-        let codes: Vec<Vec<u8>> = rows.iter().map(|r| q8(r)).collect();
-        let qcodes = q8(&query);
-        let rq8 = kernel::displacement_norm_q8(&query, &qcodes, lo, scale);
-        let rx8 = rows
-            .iter()
-            .zip(&codes)
-            .map(|(r, c)| kernel::displacement_norm_q8(r, c, lo, scale))
-            .fold(0.0f64, f64::max);
-        let t8 = kernel::q8_prune_threshold(bound, rq8, rx8, scale);
-        let b8 = kernel::q8_kernel_bound(t8);
-        group.bench_with_input(BenchmarkId::new("q8_lower_bound", dim), &dim, |b, _| {
-            b.iter(|| {
-                let mut pruned = 0usize;
-                for c in &codes {
-                    if kernel::q8_row_prunable(
-                        kernel::dist2_q8_bounded(black_box(&qcodes), c, b8),
-                        t8,
                     ) {
                         pruned += 1;
                     }

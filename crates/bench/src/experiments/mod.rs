@@ -14,7 +14,6 @@ pub mod ext10;
 pub mod ext11;
 pub mod ext12;
 pub mod ext13;
-pub mod ext14;
 pub mod ext15;
 pub mod fig01;
 pub mod fig02;
@@ -36,10 +35,10 @@ use crate::ExperimentReport;
 
 /// All experiment ids: the paper's figures in order, then the extension
 /// experiments.
-pub const ALL: [&str; 27] = [
+pub const ALL: [&str; 26] = [
     "fig1", "fig2", "fig3", "fig5", "fig7", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16",
     "fig17", "ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext9", "ext10",
-    "ext11", "ext12", "ext13", "ext14", "ext15",
+    "ext11", "ext12", "ext13", "ext15",
 ];
 
 /// Runs an experiment by id. `scale` multiplies the default dataset sizes.
@@ -70,7 +69,6 @@ pub fn run(id: &str, scale: f64) -> Option<ExperimentReport> {
         "ext11" => Some(ext11::run(scale)),
         "ext12" => Some(ext12::run(scale)),
         "ext13" => Some(ext13::run(scale)),
-        "ext14" => Some(ext14::run(scale)),
         "ext15" => Some(ext15::run(scale)),
         _ => None,
     }

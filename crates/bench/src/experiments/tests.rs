@@ -7,7 +7,7 @@ use super::*;
 
 #[test]
 fn dispatcher_covers_all_and_rejects_unknown() {
-    assert_eq!(ALL.len(), 27);
+    assert_eq!(ALL.len(), 26);
     assert!(run("nonsense", 1.0).is_none());
     assert!(run("fig99", 1.0).is_none());
 }
@@ -261,46 +261,6 @@ fn ext12_reduces_f64_evals_and_stays_exact() {
     let report = run("ext12", 0.05).expect("ext12");
     assert_eq!(report.rows.len(), 9);
     assert!(report.notes[0].contains("bit-identical"));
-}
-
-#[test]
-fn ext14_energy_order_abandons_earlier_and_stays_exact() {
-    let rows = ext14::measure(0.05);
-    // 3 datasets x 2 orders x 3 tiers; answers were asserted bit-identical
-    // against the natural-order f64 scan inside measure().
-    assert_eq!(rows.len(), 18);
-    assert!(rows.iter().all(|r| r.exact), "a cell diverged");
-    let cell = |dataset: &str, order: &str, tier: &str| {
-        rows.iter()
-            .find(|r| r.dataset == dataset && r.order == order && r.tier == tier)
-            .unwrap()
-    };
-    for dataset in ["uniform", "high-d", "correlated"] {
-        for order in ["natural", "energy"] {
-            let f64c = cell(dataset, order, "f64");
-            assert!(f64c.f64_evals > 0, "{dataset}/{order}: f64 scan idle");
-            for tier in ["f32", "q8"] {
-                let c = cell(dataset, order, tier);
-                assert!(c.lb_evals > 0, "{dataset}/{order}/{tier}: no phase 1");
-                assert!(c.rerank_evals <= c.lb_evals);
-            }
-        }
-    }
-    // The abandon-depth counters are self-consistent: every abandoned row
-    // ran at least one checkpoint.
-    for r in &rows {
-        assert!(
-            r.abandon_checkpoints >= r.abandoned_rows,
-            "{}/{}/{}: fewer checkpoints than abandoned rows",
-            r.dataset,
-            r.order,
-            r.tier
-        );
-    }
-    // And the tabulated report is well-formed.
-    let report = run("ext14", 0.05).expect("ext14");
-    assert_eq!(report.rows.len(), 18);
-    assert!(report.notes[0].contains("abandon depth"));
 }
 
 #[test]

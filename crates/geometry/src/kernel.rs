@@ -26,12 +26,14 @@
 //!
 //! Next to the canonical f64 kernels this module carries two cheap tiers
 //! used by the two-phase leaf scan: **f32** kernels over single-precision
-//! mirrors ([`dist2_f32`], [`dist2_batch_f32`] and bounded variants) and
-//! **q8** kernels over 8-bit scalar-quantized codes ([`dist2_q8`],
-//! [`dist2_batch_q8`] and bounded variants, exact integer arithmetic).
+//! mirrors ([`dist2_f32`], [`dist2_batch_f32_bounded_depth`]) and **q8**
+//! kernels over 8-bit codes on per-dimension grids ([`dist2_q8w`],
+//! [`dist2_batch_q8w_bounded_depth`]). The plain kernels
+//! [`dist2_batch_f32`], [`dist2_q8`] and [`dist2_batch_q8`] are timed by
+//! the benchmarks; no scan path calls them.
 //! Neither tier ever *answers* a query; their results are turned into
 //! certified **lower bounds** on the true f64 distance via the
-//! `lb2_from_*` / `*_prune_threshold` helpers below, so a row they
+//! `*_prune_threshold` helpers below, so a row they
 //! disqualify provably cannot enter the k-NN result and every survivor is
 //! re-ranked with the canonical [`dist2`] — returned answers stay
 //! bit-identical to a pure f64 scan.
@@ -42,12 +44,13 @@
 //! overestimates), `‖q−x‖ ≥ ‖q̂−x̂‖ − r_q − r_x`. The f32 kernel does not
 //! compute `‖q̂−x̂‖²` exactly; its accumulated sum `S` satisfies
 //! `S ≤ (1+γ)·σ` with `σ` the exact sum and `γ =` [`f32_accum_slack`], so
-//! `σ ≥ S/(1+γ)` is still certain. The q8 kernel's code-space sum is exact
-//! integer arithmetic; the only slack needed is the f64 rounding of the
-//! reconstruction grid, absorbed into the stored `r` values by
-//! [`displacement_norm_q8`]. Every helper rounds its slack *against* the
-//! pruning decision, so `lb ≤ dist2` holds unconditionally (certified for
-//! dimensions up to ~10⁶; see [`CERT_PAD`]).
+//! `σ ≥ S/(1+γ)` is still certain. The q8 kernel's squared code
+//! differences are exact; its slack is the weighted f64 accumulation
+//! ([`q8w_accum_slack`]) plus the rounding of the reconstruction grid,
+//! absorbed into the stored `r` values by [`displacement_norm_q8w`]. Every
+//! helper rounds its slack *against* the pruning decision, so
+//! `lb ≤ dist2` holds unconditionally (certified for dimensions up to
+//! ~10⁶; see [`CERT_PAD`]).
 
 /// Accumulator-lane count of every kernel in this module — and therefore
 /// the **checkpoint cadence** of the `*_bounded` variants, which compare
@@ -330,7 +333,9 @@ pub fn dist2_f32(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// [`dist2_f32`] with partial-distance early abandon at the
-/// [`CHECKPOINT_LANES`] cadence.
+/// [`CHECKPOINT_LANES`] cadence, plus the number of checkpoint
+/// comparisons performed (see [`dist2_bounded_depth`] for the depth
+/// contract).
 ///
 /// Abandoning is certified by monotonicity exactly as for
 /// [`dist2_bounded`]: non-negative terms under round-to-nearest never
@@ -340,13 +345,6 @@ pub fn dist2_f32(a: &[f32], b: &[f32]) -> f32 {
 /// bound. Callers that pass `bound = f32::INFINITY` disable abandonment
 /// (nothing exceeds it, including `∞` itself) and must treat non-finite
 /// `Some` sums as uncertified (see [`f32_row_prunable`]).
-#[inline]
-pub fn dist2_f32_bounded(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
-    dist2_f32_bounded_depth(a, b, bound).0
-}
-
-/// [`dist2_f32_bounded`] plus the number of checkpoint comparisons
-/// performed (see [`dist2_bounded_depth`] for the depth contract).
 #[inline]
 pub fn dist2_f32_bounded_depth(a: &[f32], b: &[f32], bound: f32) -> (Option<f32>, u64) {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
@@ -395,35 +393,13 @@ pub fn dist2_batch_f32(query: &[f32], block: &[f32], dim: usize, out: &mut [f32]
     }
 }
 
-/// Bounded variant of [`dist2_batch_f32`]: every row runs
-/// [`dist2_f32_bounded`] against the same `bound`, `None` marking rows
-/// abandoned at a checkpoint.
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * dim` or the query has the wrong
-/// dimension.
-pub fn dist2_batch_f32_bounded(
-    query: &[f32],
-    block: &[f32],
-    dim: usize,
-    bound: f32,
-    out: &mut [Option<f32>],
-) {
-    assert!(dim > 0, "zero-dimensional block");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    assert_eq!(block.len(), out.len() * dim, "block/out shape mismatch");
-    for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-        *slot = dist2_f32_bounded(query, row, bound);
-    }
-}
-
-/// [`dist2_batch_f32_bounded`] plus abandon-depth accounting: returns
-/// `(abandoned_rows, abandon_checkpoints)`, where the second figure sums
-/// the checkpoint count of every **abandoned** row (survivor checkpoints
-/// are not counted, so `abandon_checkpoints / abandoned_rows` is the mean
-/// abandon depth in [`CHECKPOINT_LANES`] units). The per-row results are
-/// bit-identical to [`dist2_batch_f32_bounded`].
+/// Scans a row-major f32 block against one f32 query with
+/// [`dist2_f32_bounded_depth`], `None` marking rows abandoned at a
+/// checkpoint, and returns `(abandoned_rows, abandon_checkpoints)`: the
+/// second figure sums the checkpoint count of every **abandoned** row
+/// (survivor checkpoints are not counted, so
+/// `abandon_checkpoints / abandoned_rows` is the mean abandon depth in
+/// [`CHECKPOINT_LANES`] units).
 ///
 /// # Panics
 ///
@@ -456,9 +432,7 @@ pub fn dist2_batch_f32_bounded_depth(
 ///
 /// Four u64 lanes; each term is at most `255² = 65025`, so the sum is
 /// exact for any realistic dimension (no overflow below `dim ≈ 2⁵⁰`), and
-/// `(sum as f64)` is exact below `2⁵³`. The caller owns the grid (per-block
-/// `min`/`scale`); [`lb2_from_q8`] / [`q8_prune_threshold`] convert the
-/// code-space sum into a certified lower bound on the f64 distance.
+/// `(sum as f64)` is exact below `2⁵³`. The caller owns the grid.
 #[inline]
 pub fn dist2_q8(a: &[u8], b: &[u8]) -> u64 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
@@ -486,41 +460,6 @@ pub fn dist2_q8(a: &[u8], b: &[u8]) -> u64 {
     (s0 + s1) + (s2 + s3)
 }
 
-/// [`dist2_q8`] with early abandon at the [`CHECKPOINT_LANES`] cadence.
-///
-/// Integer accumulation is exact and strictly monotone, so a checkpoint
-/// above `bound` proves the full code-space sum exceeds it — no rounding
-/// argument is even needed here.
-#[inline]
-pub fn dist2_q8_bounded(a: &[u8], b: &[u8], bound: u64) -> Option<u64> {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut s0 = 0u64;
-    let mut s1 = 0u64;
-    let mut s2 = 0u64;
-    let mut s3 = 0u64;
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        let d0 = xa[0] as i32 - xb[0] as i32;
-        let d1 = xa[1] as i32 - xb[1] as i32;
-        let d2 = xa[2] as i32 - xb[2] as i32;
-        let d3 = xa[3] as i32 - xb[3] as i32;
-        s0 += (d0 * d0) as u64;
-        s1 += (d1 * d1) as u64;
-        s2 += (d2 * d2) as u64;
-        s3 += (d3 * d3) as u64;
-        if (s0 + s1) + (s2 + s3) > bound {
-            return None;
-        }
-    }
-    for (x, y) in ta.iter().zip(tb) {
-        let d = *x as i32 - *y as i32;
-        s0 += (d * d) as u64;
-    }
-    Some((s0 + s1) + (s2 + s3))
-}
-
 /// Scans a row-major q8 code block against one quantized query, writing
 /// every row's [`dist2_q8`] into `out`.
 ///
@@ -534,28 +473,6 @@ pub fn dist2_batch_q8(query: &[u8], block: &[u8], dim: usize, out: &mut [u64]) {
     assert_eq!(block.len(), out.len() * dim, "block/out shape mismatch");
     for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
         *slot = dist2_q8(query, row);
-    }
-}
-
-/// Bounded variant of [`dist2_batch_q8`]: every row runs
-/// [`dist2_q8_bounded`] against the same `bound`.
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * dim` or the query has the wrong
-/// dimension.
-pub fn dist2_batch_q8_bounded(
-    query: &[u8],
-    block: &[u8],
-    dim: usize,
-    bound: u64,
-    out: &mut [Option<u64>],
-) {
-    assert!(dim > 0, "zero-dimensional block");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    assert_eq!(block.len(), out.len() * dim, "block/out shape mismatch");
-    for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-        *slot = dist2_q8_bounded(query, row, bound);
     }
 }
 
@@ -668,12 +585,6 @@ pub fn dist2_q8w_bounded_depth(a: &[i32], b: &[u8], w: &[f64], bound: f64) -> (O
     (Some((s0 + s1) + (s2 + s3)), cp)
 }
 
-/// [`dist2_q8w_bounded_depth`] without the depth counter.
-#[inline]
-pub fn dist2_q8w_bounded(a: &[i32], b: &[u8], w: &[f64], bound: f64) -> Option<f64> {
-    dist2_q8w_bounded_depth(a, b, w, bound).0
-}
-
 /// Scans a row-major q8 code block against one quantized query with the
 /// weighted per-dimension kernel, abandoning rows at `bound` and returning
 /// `(abandoned_rows, abandon_checkpoints)` (see
@@ -748,29 +659,6 @@ pub fn q8w_accum_slack(dim: usize) -> f64 {
     4.0 * (dim + CHECKPOINT_LANES) as f64 * f64::EPSILON
 }
 
-/// The abandon bound for a **permuted** f64 filter scan certifying against
-/// a pruning radius `bound`: inflates the radius by [`CERT_PAD`] so that a
-/// row abandoned on the energy-permuted accumulation provably has
-/// **computed natural-order** [`dist2`] `≥ bound` as well.
-///
-/// Permuting coordinates re-orders the four-lane accumulation, so the
-/// permuted sum and the canonical natural-order sum differ by a relative
-/// `γ = 2·(dim + CHECKPOINT_LANES)·ε₆₄` each against the exact value. A
-/// permuted checkpoint `S_p > bound·(1+CERT_PAD)` gives exact
-/// `σ ≥ S_p/(1+γ) > bound·(1+CERT_PAD)/(1+γ)` and therefore computed
-/// natural `D ≥ σ·(1−γ) > bound·(1+CERT_PAD)·(1−γ)/(1+γ) ≥ bound` as long
-/// as `CERT_PAD ≥ ~2γ` — true for dimensions up to ~10⁶. Callers re-rank
-/// every survivor with the natural-order kernel, so answers stay
-/// bit-identical to a natural scan while abandons fire on the
-/// highest-variance lanes first.
-pub fn order_prune_bound(bound: f64) -> f64 {
-    if bound.is_finite() {
-        bound * (1.0 + CERT_PAD)
-    } else {
-        bound
-    }
-}
-
 /// Overestimate of the displacement `‖v − m‖₂` between a row and its f32
 /// mirror, suitable as the `r` input of the f32 certification helpers.
 ///
@@ -788,31 +676,15 @@ pub fn displacement_norm_f32(v: &[f64], m: &[f32]) -> f64 {
 }
 
 /// Overestimate of the displacement `‖v − x̂‖₂` between a row and its q8
-/// reconstruction `x̂[i] = min + codes[i]·scale` (the *ideal* grid point in
-/// exact arithmetic), suitable as the `r` input of the q8 helpers.
+/// reconstruction `x̂[j] = mins[j] + codes[j]·scales[j]` (the *ideal* grid
+/// point in exact arithmetic, each lane on its own grid), suitable as the
+/// `r` input of [`q8w_prune_threshold`]. Degenerate lanes
+/// (`scales[j] = 0`) reconstruct to `mins[j]` exactly.
 ///
-/// Unlike the f32 case the reconstruction is computed, not stored, so each
-/// coordinate carries an absolute f64 error up to a few `ε₆₄·|x̂[i]|`; the
+/// The reconstruction is computed, not stored, so each coordinate carries
+/// an absolute f64 error up to a few `ε₆₄·|x̂[j]|`; the
 /// `8·ε₆₄·amax·√dim` term over-covers that before the relative
 /// [`CERT_PAD`] inflation.
-pub fn displacement_norm_q8(v: &[f64], codes: &[u8], min: f64, scale: f64) -> f64 {
-    debug_assert_eq!(v.len(), codes.len(), "dimension mismatch");
-    let mut s = 0.0f64;
-    let mut amax = 0.0f64;
-    for (x, c) in v.iter().zip(codes) {
-        let r = min + *c as f64 * scale;
-        amax = amax.max(r.abs()).max(x.abs());
-        let d = x - r;
-        s += d * d;
-    }
-    let fudge = 8.0 * f64::EPSILON * amax * (v.len() as f64).sqrt();
-    (s.sqrt() + fudge) * (1.0 + CERT_PAD)
-}
-
-/// Per-dimension-grid counterpart of [`displacement_norm_q8`]: the
-/// reconstruction of lane `j` is `mins[j] + codes[j]·scales[j]`, each lane
-/// on its own grid. Degenerate lanes (`scales[j] = 0`) reconstruct to
-/// `mins[j]` exactly.
 pub fn displacement_norm_q8w(v: &[f64], codes: &[u8], mins: &[f64], scales: &[f64]) -> f64 {
     debug_assert_eq!(v.len(), codes.len(), "dimension mismatch");
     debug_assert_eq!(v.len(), mins.len(), "grid dimension mismatch");
@@ -866,32 +738,6 @@ pub fn lb2_from_f32(s: f32, rq: f64, rx: f64, dim: usize) -> f64 {
     (lb * lb) * (1.0 - CERT_PAD)
 }
 
-/// Certified lower bound on the exact squared f64 distance from the q8
-/// code-space sum `s = dist2_q8(q̂, x̂)` on a grid of step `scale`, with
-/// displacement overestimates `rq`, `rx` from [`displacement_norm_q8`].
-pub fn lb2_from_q8(s: u64, scale: f64, rq: f64, rx: f64) -> f64 {
-    // ‖q̂−x̂‖ = scale·√s exactly in the reals; deflate the two roundings.
-    let d_hat = scale * (s as f64).sqrt() / (1.0 + CERT_PAD);
-    let lb = (d_hat - rq - rx).max(0.0);
-    (lb * lb) * (1.0 - CERT_PAD)
-}
-
-/// Certified lower bound on the exact squared f64 distance from the
-/// weighted per-dimension q8 kernel sum `s = dist2_q8w(q̂, x̂, w)` with
-/// displacement overestimates `rq`, `rx` from [`displacement_norm_q8w`].
-///
-/// Mirrors [`lb2_from_f32`]: the kernel sum is inexact (weighted f64
-/// accumulation), so it is deflated by [`q8w_accum_slack`] before the
-/// triangle-inequality step. Non-finite sums certify nothing.
-pub fn lb2_from_q8w(s: f64, rq: f64, rx: f64, dim: usize) -> f64 {
-    if !s.is_finite() {
-        return 0.0;
-    }
-    let sigma = s / ((1.0 + q8w_accum_slack(dim)) * (1.0 + CERT_PAD));
-    let lb = (sigma.sqrt() * (1.0 - CERT_PAD) - rq - rx).max(0.0);
-    (lb * lb) * (1.0 - CERT_PAD)
-}
-
 /// Phase-1 prune threshold for the f32 tier: a row whose f32 kernel sum
 /// `S` satisfies `(S as f64) ≥ f32_prune_threshold(bound, rq, rx, dim)` is
 /// certified to have **computed** f64 `dist2 ≥ bound` and may be dropped
@@ -909,20 +755,6 @@ pub fn f32_prune_threshold(bound: f64, rq: f64, rx: f64, dim: usize) -> f64 {
     (1.0 + f32_accum_slack(dim)) * (w * w) * (1.0 + CERT_PAD)
 }
 
-/// Phase-1 prune threshold for the q8 tier, in **code space**: a row whose
-/// integer sum `S` satisfies `(S as f64) ≥ q8_prune_threshold(...)` is
-/// certified to have computed f64 `dist2 ≥ bound` (see
-/// [`q8_row_prunable`]). Requires `scale > 0`; degenerate blocks
-/// (`min == max`) must stay on the f64 path.
-pub fn q8_prune_threshold(bound: f64, rq: f64, rx: f64, scale: f64) -> f64 {
-    debug_assert!(scale > 0.0, "degenerate quantization grid");
-    if !bound.is_finite() {
-        return f64::INFINITY;
-    }
-    let w = ((bound * (1.0 + CERT_PAD)).sqrt() + rq + rx) / scale;
-    (w * w) * (1.0 + CERT_PAD)
-}
-
 /// Phase-1 prune threshold for the per-dimension q8 tier: a row whose
 /// weighted kernel sum `S` satisfies `S ≥ q8w_prune_threshold(...)` is
 /// certified to have computed f64 `dist2 ≥ bound` (see
@@ -938,8 +770,8 @@ pub fn q8w_prune_threshold(bound: f64, rq: f64, rx: f64, dim: usize) -> f64 {
     (1.0 + q8w_accum_slack(dim)) * (w * w) * (1.0 + CERT_PAD)
 }
 
-/// The f32 bound to feed [`dist2_f32_bounded`] for a phase-1 threshold `t`
-/// (from [`f32_prune_threshold`]).
+/// The f32 bound to feed [`dist2_f32_bounded_depth`] for a phase-1
+/// threshold `t` (from [`f32_prune_threshold`]).
 ///
 /// Inflated by `10⁻⁶` before the cast so round-to-nearest can never land
 /// below `t` (f32 cast error is `≤ 2⁻²⁴ ≈ 6·10⁻⁸` relative); when even the
@@ -956,20 +788,6 @@ pub fn f32_kernel_bound(t: f64) -> f32 {
     }
 }
 
-/// The integer bound to feed [`dist2_q8_bounded`] for a phase-1 threshold
-/// `t` (from [`q8_prune_threshold`]): the largest sum **not** certified
-/// prunable, so the kernel's strict `> bound` abandon fires exactly on
-/// `S ≥ t`.
-pub fn q8_kernel_bound(t: f64) -> u64 {
-    if t <= 0.0 {
-        0
-    } else if t >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        (t.ceil() as u64).saturating_sub(1)
-    }
-}
-
 /// The certified phase-1 decision for one f32-tier row: `true` iff the row
 /// provably has computed f64 `dist2 ≥` the bound that produced `t` via
 /// [`f32_prune_threshold`].
@@ -982,15 +800,6 @@ pub fn f32_row_prunable(s: Option<f32>, t: f64) -> bool {
     match s {
         None => true,
         Some(v) => v.is_finite() && v as f64 >= t,
-    }
-}
-
-/// The certified phase-1 decision for one q8-tier row (counterpart of
-/// [`f32_row_prunable`]; `(v as f64)` is exact for any realistic sum).
-pub fn q8_row_prunable(s: Option<u64>, t: f64) -> bool {
-    match s {
-        None => true,
-        Some(v) => v as f64 >= t,
     }
 }
 
@@ -1126,24 +935,16 @@ mod tests {
         let zeros = vec![0.0f64; CHECKPOINT_LANES + 1];
         let got = dist2_bounded(&tail_heavy, &zeros, 1.0);
         assert_eq!(got, Some(100.0), "tail coordinates must not checkpoint");
-        // The f32 and q8 bounded kernels share the cadence.
+        // The f32 bounded kernel shares the cadence (the q8w one is
+        // checked in `q8w_kernel_matches_naive_weighted_sum`).
         let big32: Vec<f32> = big.iter().map(|&v| v as f32).collect();
         let zero32 = vec![0.0f32; big.len()];
-        assert_eq!(dist2_f32_bounded(&big32, &zero32, 1.0), None);
+        assert_eq!(dist2_f32_bounded_depth(&big32, &zero32, 1.0), (None, 1));
         let mut t32 = vec![0.0f32; CHECKPOINT_LANES + 1];
         t32[CHECKPOINT_LANES] = 10.0;
         assert_eq!(
-            dist2_f32_bounded(&t32, &vec![0.0f32; t32.len()], 1.0),
+            dist2_f32_bounded_depth(&t32, &vec![0.0f32; t32.len()], 1.0).0,
             Some(100.0)
-        );
-        let bigq = vec![200u8; CHECKPOINT_LANES * 2];
-        let zeroq = vec![0u8; CHECKPOINT_LANES * 2];
-        assert_eq!(dist2_q8_bounded(&bigq, &zeroq, 10), None);
-        let mut tq = vec![0u8; CHECKPOINT_LANES + 1];
-        tq[CHECKPOINT_LANES] = 200;
-        assert_eq!(
-            dist2_q8_bounded(&tq, &vec![0u8; tq.len()], 10),
-            Some(200 * 200)
         );
     }
 
@@ -1161,7 +962,9 @@ mod tests {
                 "dim {dim}: {s} vs {full}"
             );
             // Unbounded survival is bit-identical to the plain kernel.
-            let got = dist2_f32_bounded(&a32, &b32, f32::INFINITY).unwrap();
+            let got = dist2_f32_bounded_depth(&a32, &b32, f32::INFINITY)
+                .0
+                .unwrap();
             assert_eq!(got.to_bits(), s.to_bits(), "dim {dim}");
         }
     }
@@ -1180,7 +983,6 @@ mod tests {
                 })
                 .sum();
             assert_eq!(dist2_q8(&a, &b), naive, "dim {dim}");
-            assert_eq!(dist2_q8_bounded(&a, &b, u64::MAX), Some(naive));
         }
     }
 
@@ -1193,7 +995,9 @@ mod tests {
         let mut out32 = vec![0.0f32; rows];
         dist2_batch_f32(&q32, &block32, dim, &mut out32);
         let mut bounded32 = vec![None; rows];
-        dist2_batch_f32_bounded(&q32, &block32, dim, f32::INFINITY, &mut bounded32);
+        let (abandoned, _) =
+            dist2_batch_f32_bounded_depth(&q32, &block32, dim, f32::INFINITY, &mut bounded32);
+        assert_eq!(abandoned, 0);
         for (r, row) in block32.chunks_exact(dim).enumerate() {
             assert_eq!(out32[r].to_bits(), dist2_f32(&q32, row).to_bits());
             assert_eq!(bounded32[r].unwrap().to_bits(), out32[r].to_bits());
@@ -1202,11 +1006,8 @@ mod tests {
         let qq: Vec<u8> = (0..dim).map(|i| (i * 29 % 256) as u8).collect();
         let mut outq = vec![0u64; rows];
         dist2_batch_q8(&qq, &blockq, dim, &mut outq);
-        let mut boundedq = vec![None; rows];
-        dist2_batch_q8_bounded(&qq, &blockq, dim, u64::MAX, &mut boundedq);
         for (r, row) in blockq.chunks_exact(dim).enumerate() {
             assert_eq!(outq[r], dist2_q8(&qq, row));
-            assert_eq!(boundedq[r], Some(outq[r]));
         }
     }
 
@@ -1220,17 +1021,6 @@ mod tests {
                 assert_eq!(b, f32::INFINITY, "overflowing t must disable abandon");
             }
         }
-        // q8: for positive thresholds the abandon test (sum > bound) fires
-        // exactly on sum >= t — tight, not merely safe.
-        for t in [0.5f64, 1.0, 1.5, 2.0, 65025.0] {
-            let b = q8_kernel_bound(t);
-            for s in 0u64..5 {
-                assert_eq!(s > b, s as f64 >= t, "t={t}, s={s}");
-            }
-        }
-        assert_eq!(q8_kernel_bound(0.0), 0);
-        assert_eq!(q8_kernel_bound(-3.0), 0);
-        assert_eq!(q8_kernel_bound(1e300), u64::MAX);
     }
 
     #[test]
@@ -1245,21 +1035,6 @@ mod tests {
             let rx = displacement_norm_f32(&b, &b32);
             let lb = lb2_from_f32(dist2_f32(&a32, &b32), rq, rx, dim);
             assert!(lb <= exact, "f32 dim {dim}: lb {lb} > exact {exact}");
-            // q8 tier on a grid covering both vectors.
-            let min = a.iter().chain(&b).cloned().fold(f64::INFINITY, f64::min);
-            let max = a
-                .iter()
-                .chain(&b)
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let scale = ((max - min) / 255.0).max(f64::MIN_POSITIVE);
-            let code = |v: f64| (((v - min) / scale).round().clamp(0.0, 255.0)) as u8;
-            let ca: Vec<u8> = a.iter().map(|&v| code(v)).collect();
-            let cb: Vec<u8> = b.iter().map(|&v| code(v)).collect();
-            let rq = displacement_norm_q8(&a, &ca, min, scale);
-            let rx = displacement_norm_q8(&b, &cb, min, scale);
-            let lb = lb2_from_q8(dist2_q8(&ca, &cb), scale, rq, rx);
-            assert!(lb <= exact, "q8 dim {dim}: lb {lb} > exact {exact}");
         }
     }
 
@@ -1314,18 +1089,17 @@ mod tests {
             let (s, cp) = dist2_q8w_bounded_depth(&a, &b, &w, f64::INFINITY);
             assert_eq!(s.unwrap().to_bits(), got.to_bits(), "dim {dim}");
             assert_eq!(cp, (dim / CHECKPOINT_LANES) as u64);
-            assert_eq!(dist2_q8w_bounded(&a, &b, &w, f64::INFINITY), Some(got));
         }
         // Abandon fires at the checkpoint, never in the tail.
         let big = vec![200i32; CHECKPOINT_LANES * 2];
         let zero = vec![0u8; CHECKPOINT_LANES * 2];
         let w = vec![1.0f64; CHECKPOINT_LANES * 2];
-        assert_eq!(dist2_q8w_bounded(&big, &zero, &w, 10.0), None);
+        assert_eq!(dist2_q8w_bounded_depth(&big, &zero, &w, 10.0), (None, 1));
         let mut tq = vec![0i32; CHECKPOINT_LANES + 1];
         tq[CHECKPOINT_LANES] = 200;
         let w = vec![1.0f64; CHECKPOINT_LANES + 1];
         assert_eq!(
-            dist2_q8w_bounded(&tq, &vec![0u8; tq.len()], &w, 10.0),
+            dist2_q8w_bounded_depth(&tq, &vec![0u8; tq.len()], &w, 10.0).0,
             Some(40_000.0)
         );
         // Wide codes at the cap stay exact: d² = (2²⁵ + 255)² round-trips
@@ -1375,58 +1149,17 @@ mod tests {
             let rq = displacement_norm_q8w_query(&a, &ca, &mins, &scales);
             let rx = displacement_norm_q8w(&bq, &cb, &mins, &scales);
             let exact = dist2(&a, &bq);
-            let lb = lb2_from_q8w(dist2_q8w(&ca, &cb, &w), rq, rx, dim);
-            assert!(lb <= exact, "q8w dim {dim}: lb {lb} > exact {exact}");
             // The prune threshold is safe: a certified row really is ≥ the
-            // bound that produced the threshold.
-            let bound = exact * 0.5;
-            let t = q8w_prune_threshold(bound, rq, rx, dim);
+            // bound that produced the threshold, so no bound above the
+            // exact distance can be certified.
             let s = dist2_q8w(&ca, &cb, &w);
-            if q8w_row_prunable(Some(s), t) {
-                assert!(exact >= bound, "q8w dim {dim}: false prune");
+            for frac in [0.25, 0.5, 0.99, 1.0, 1.01, 2.0] {
+                let bound = exact * frac;
+                let t = q8w_prune_threshold(bound, rq, rx, dim);
+                if q8w_row_prunable(Some(s), t) {
+                    assert!(exact >= bound, "q8w dim {dim}: false prune at {frac}");
+                }
             }
         }
-    }
-
-    /// Pins the tentpole's certification claim: the per-block radii, the
-    /// prune thresholds and the abandon logic are all **permutation
-    /// invariant** — the same multiset of coordinates in any lane order
-    /// yields valid certificates, because the radii are inflated
-    /// overestimates of order-independent real norms and the thresholds
-    /// only consume those radii plus the dimension. A row pruned on the
-    /// permuted layout is therefore provably `≥ bound` in natural order.
-    #[test]
-    fn certification_is_permutation_invariant() {
-        let dim = 16;
-        let (a, b) = vecs(dim);
-        // An "energy" permutation: reverse order (any permutation works).
-        let perm: Vec<usize> = (0..dim).rev().collect();
-        let pa: Vec<f64> = perm.iter().map(|&p| a[p]).collect();
-        let pb: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
-        let natural = dist2(&a, &b);
-        let permuted = dist2(&pa, &pb);
-        // Not bit-identical in general — that is exactly why the energy
-        // scan is a certified *filter*, not a re-ordered answer path.
-        assert!((natural - permuted).abs() <= 1e-12 * natural.max(1.0));
-        // An abandon under the padded bound certifies the natural kernel
-        // value is ≥ the unpadded bound.
-        for frac in [0.1, 0.5, 0.9, 0.999] {
-            let bound = natural * frac;
-            if dist2_bounded(&pa, &pb, order_prune_bound(bound)).is_none() {
-                assert!(natural >= bound, "frac {frac}: false permuted prune");
-            }
-        }
-        // Infinite bounds pass through untouched (abandon disabled).
-        assert_eq!(order_prune_bound(f64::INFINITY), f64::INFINITY);
-        // f32 certification survives permutation: permuted mirrors +
-        // natural-order radii still lower-bound the exact distance.
-        let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let pa32: Vec<f32> = perm.iter().map(|&p| a32[p]).collect();
-        let pb32: Vec<f32> = perm.iter().map(|&p| b32[p]).collect();
-        let rq = displacement_norm_f32(&a, &a32);
-        let rx = displacement_norm_f32(&b, &b32);
-        let lb = lb2_from_f32(dist2_f32(&pa32, &pb32), rq, rx, dim);
-        assert!(lb <= natural, "permuted f32 lb {lb} > exact {natural}");
     }
 }

@@ -49,21 +49,83 @@ fn scaled_pair(max_dim: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     })
 }
 
-/// The arena's q8 quantization rule: nearest grid point, clamped to the
-/// code range (out-of-grid queries clamp; the displacement norm covers it).
-fn q8_quantize(v: &[f64], min: f64, scale: f64) -> Vec<u8> {
+/// Per-lane q8 grids spanning `rows`, the arena's rule: each lane's
+/// `(min, scale)` with a zero step on constant lanes; `None` when a step
+/// is not finite, where the arena keeps the block on f64.
+fn q8_grids(rows: &[&[f64]]) -> Option<(Vec<f64>, Vec<f64>)> {
+    let dim = rows[0].len();
+    let lo: Vec<f64> = (0..dim)
+        .map(|j| rows.iter().map(|r| r[j]).fold(f64::INFINITY, f64::min))
+        .collect();
+    let hi: Vec<f64> = (0..dim)
+        .map(|j| rows.iter().map(|r| r[j]).fold(f64::NEG_INFINITY, f64::max))
+        .collect();
+    let scales: Vec<f64> = lo
+        .iter()
+        .zip(&hi)
+        .map(|(&l, &h)| if h > l { (h - l) / 255.0 } else { 0.0 })
+        .collect();
+    scales.iter().all(|s| s.is_finite()).then_some((lo, scales))
+}
+
+/// The arena's row encoding: nearest grid point, clamped to `[0, 255]`.
+fn q8_row_codes(v: &[f64], mins: &[f64], scales: &[f64]) -> Vec<u8> {
     v.iter()
-        .map(|&c| ((c - min) / scale).round().clamp(0.0, 255.0) as u8)
+        .zip(mins.iter().zip(scales))
+        .map(|(&c, (&lo, &s))| {
+            if s > 0.0 {
+                ((c - lo) / s).round().clamp(0.0, 255.0) as u8
+            } else {
+                0
+            }
+        })
         .collect()
 }
 
-/// A row-derived q8 grid, `None` when degenerate (all coordinates equal),
-/// matching the arena's "stay on f64" rule.
-fn q8_grid(x: &[f64]) -> Option<(f64, f64)> {
-    let lo = x.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let scale = (hi - lo) / 255.0;
-    (scale > 0.0 && scale.is_finite()).then_some((lo, scale))
+/// The arena's query encoding: wide codes, clamped only at the cap.
+fn q8_query_codes(v: &[f64], mins: &[f64], scales: &[f64]) -> Vec<i32> {
+    let cap = kernel::Q8W_CODE_CAP as f64;
+    v.iter()
+        .zip(mins.iter().zip(scales))
+        .map(|(&c, (&lo, &s))| {
+            if s > 0.0 {
+                ((c - lo) / s).round().clamp(-cap, cap) as i32
+            } else {
+                0
+            }
+        })
+        .collect()
+}
+
+/// A query and a row encoded the way the q8 scan encodes them, on grids
+/// that span the row and a neighbour of it, as a leaf's do (the query may
+/// fall outside them).
+struct Q8Case {
+    qc: Vec<i32>,
+    xc: Vec<u8>,
+    w: Vec<f64>,
+    rq: f64,
+    rx: f64,
+}
+
+impl Q8Case {
+    fn new(q: &[f64], x: &[f64]) -> Option<Q8Case> {
+        let other: Vec<f64> = x.iter().map(|&c| -0.5 * c).collect();
+        let (mins, scales) = q8_grids(&[x, &other])?;
+        let qc = q8_query_codes(q, &mins, &scales);
+        let xc = q8_row_codes(x, &mins, &scales);
+        Some(Q8Case {
+            rq: kernel::displacement_norm_q8w_query(q, &qc, &mins, &scales),
+            rx: kernel::displacement_norm_q8w(x, &xc, &mins, &scales),
+            w: scales.iter().map(|&s| s * s).collect(),
+            qc,
+            xc,
+        })
+    }
+
+    fn threshold(&self, bound: f64) -> f64 {
+        kernel::q8w_prune_threshold(bound, self.rq, self.rx, self.xc.len())
+    }
 }
 
 proptest! {
@@ -131,20 +193,6 @@ proptest! {
     }
 
     #[test]
-    fn q8_lower_bound_never_exceeds_the_exact_distance((q, x) in scaled_pair(64)) {
-        if let Some((min, scale)) = q8_grid(&x) {
-            let xc = q8_quantize(&x, min, scale);
-            let qc = q8_quantize(&q, min, scale);
-            let rx = kernel::displacement_norm_q8(&x, &xc, min, scale);
-            let rq = kernel::displacement_norm_q8(&q, &qc, min, scale);
-            let s = kernel::dist2_q8(&qc, &xc);
-            let lb = kernel::lb2_from_q8(s, scale, rq, rx);
-            let exact = kernel::dist2(&q, &x);
-            prop_assert!(lb <= exact, "dim {}: lb {lb} > dist2 {exact}", q.len());
-        }
-    }
-
-    #[test]
     fn f32_certified_prune_implies_dist2_at_least_bound(
         (q, x) in scaled_pair(64),
         frac in 0.0f64..2.0,
@@ -157,7 +205,7 @@ proptest! {
         let exact = kernel::dist2(&q, &x);
         let bound = exact * frac;
         let t = kernel::f32_prune_threshold(bound, rq, rx, dim);
-        let s = kernel::dist2_f32_bounded(&q32, &x32, kernel::f32_kernel_bound(t));
+        let (s, _) = kernel::dist2_f32_bounded_depth(&q32, &x32, kernel::f32_kernel_bound(t));
         if kernel::f32_row_prunable(s, t) {
             // A certified prune must never drop a row whose computed f64
             // distance is inside the bound.
@@ -166,20 +214,29 @@ proptest! {
     }
 
     #[test]
+    fn q8_lower_bound_never_exceeds_the_exact_distance((q, x) in scaled_pair(64)) {
+        // The weighted q8 sum certifies no bound above the exact distance:
+        // not even the next float up.
+        if let Some(case) = Q8Case::new(&q, &x) {
+            let exact = kernel::dist2(&q, &x);
+            let above = f64::from_bits(exact.to_bits() + 1);
+            let s = kernel::dist2_q8w(&case.qc, &case.xc, &case.w);
+            let t = case.threshold(above);
+            prop_assert!(!kernel::q8w_row_prunable(Some(s), t), "dim {}: {s} >= {t}", q.len());
+        }
+    }
+
+    #[test]
     fn q8_certified_prune_implies_dist2_at_least_bound(
         (q, x) in scaled_pair(64),
         frac in 0.0f64..2.0,
     ) {
-        if let Some((min, scale)) = q8_grid(&x) {
-            let xc = q8_quantize(&x, min, scale);
-            let qc = q8_quantize(&q, min, scale);
-            let rx = kernel::displacement_norm_q8(&x, &xc, min, scale);
-            let rq = kernel::displacement_norm_q8(&q, &qc, min, scale);
+        if let Some(case) = Q8Case::new(&q, &x) {
             let exact = kernel::dist2(&q, &x);
             let bound = exact * frac;
-            let t = kernel::q8_prune_threshold(bound, rq, rx, scale);
-            let s = kernel::dist2_q8_bounded(&qc, &xc, kernel::q8_kernel_bound(t));
-            if kernel::q8_row_prunable(s, t) {
+            let t = case.threshold(bound);
+            let (s, _) = kernel::dist2_q8w_bounded_depth(&case.qc, &case.xc, &case.w, t);
+            if kernel::q8w_row_prunable(s, t) {
                 prop_assert!(
                     exact >= bound,
                     "dim {}: pruned although {exact} < {bound}", q.len()

@@ -118,11 +118,7 @@ impl SpatialTree {
             for size in sizes {
                 let chunk: Vec<LeafEntry> = iter.by_ref().take(size).collect();
                 let node = Node::Leaf {
-                    entries: LeafEntries::from_entries_ordered(
-                        tree.params.dim,
-                        tree.params.scan_order,
-                        chunk,
-                    ),
+                    entries: LeafEntries::from_entries(tree.params.dim, chunk),
                     pages: 1,
                 };
                 let mbr = node.mbr().expect("chunk is non-empty");

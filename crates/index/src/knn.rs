@@ -118,8 +118,7 @@ pub struct SearchStats {
     pub lb_evals: u64,
     /// Phase-1 survivors re-ranked by the exact f64 batch kernel. Always
     /// `≤ lb_evals`; each re-rank also counts into `dist_evals`. Zero on
-    /// [`ScanTier::F64`] with the natural scan order (the energy-ordered
-    /// f64 filter re-ranks its survivors too).
+    /// [`ScanTier::F64`].
     pub rerank_evals: u64,
     /// Rows a bounded kernel abandoned at a partial-sum checkpoint, on any
     /// tier (f64 early abandonment, f32/q8 phase-1 mid-kernel abandons).
@@ -127,8 +126,7 @@ pub struct SearchStats {
     pub abandoned_rows: u64,
     /// Total 4-lane checkpoints the rows in `abandoned_rows` evaluated
     /// before abandoning. The mean abandon depth in *coordinates* is
-    /// `4 · abandon_checkpoints / abandoned_rows` — the figure the
-    /// energy scan order is designed to shrink.
+    /// `4 · abandon_checkpoints / abandoned_rows`.
     pub abandon_checkpoints: u64,
 }
 
@@ -212,32 +210,17 @@ impl SpatialTree {
         algorithm: KnnAlgorithm,
         shared: Option<&SharedBound>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.knn_traced_ordered(
-            query,
-            k,
-            algorithm,
-            shared,
-            ScanTier::F64,
-            ScanOrder::Natural,
-        )
+        self.knn_traced_ordered(query, k, algorithm, shared, ScanTier::F64)
     }
 
     /// Like [`SpatialTree::knn_traced`], with an explicit precision tier
-    /// for the leaf scan and an explicit [`ScanOrder`] for the f64 leaf
-    /// sweeps.
+    /// for the leaf scan.
     ///
     /// The answer list is identical for every tier — the cheap tiers only
     /// skip rows certified farther than the pruning radius — but the work
     /// counters move: on [`ScanTier::F32`] / [`ScanTier::Q8`] most leaf
     /// rows cost one [`SearchStats::lb_evals`] instead of an f64
     /// [`SearchStats::dist_evals`].
-    ///
-    /// [`ScanOrder::Energy`] runs the certified permuted filter over leaves
-    /// that carry an energy permutation (see `DESIGN.md`, "Scan order");
-    /// answers are bit-identical either way. The f32/q8 phase-1 sweeps
-    /// always follow the leaf's physical layout regardless of this knob —
-    /// their mirrors only *exist* in storage order.
-    #[allow(clippy::too_many_arguments)]
     pub fn knn_traced_ordered(
         &self,
         query: &Point,
@@ -245,14 +228,13 @@ impl SpatialTree {
         algorithm: KnnAlgorithm,
         shared: Option<&SharedBound>,
         tier: ScanTier,
-        order: ScanOrder,
     ) -> (Vec<Neighbor>, SearchStats) {
         assert_eq!(query.dim(), self.params().dim, "query dimension mismatch");
         let mut stats = SearchStats::default();
         if k == 0 || self.is_empty() {
             return (Vec::new(), stats);
         }
-        let mut scanner = LeafScanner::with_order(tier, order);
+        let mut scanner = LeafScanner::new(tier);
         let result = match algorithm {
             KnnAlgorithm::Rkv => {
                 let mut best = BoundedMaxHeap::new(k);
@@ -369,17 +351,10 @@ fn prune_bound(best: &BoundedMaxHeap, shared: Option<&SharedBound>) -> f64 {
 #[derive(Debug)]
 pub struct LeafScanner {
     tier: ScanTier,
-    /// Whether f64 sweeps over energy-permuted leaves run the certified
-    /// permuted filter (the f32/q8 mirrors always follow storage order).
-    order: ScanOrder,
     /// The query cast to f32, built on first use (constant per query).
     q32: Vec<f32>,
     /// Overestimate of `‖q − q32‖` (constant per query).
     rq32: f64,
-    /// The query permuted into the current block's scan order (per block).
-    qp: Vec<f64>,
-    /// The f32 query permuted into the current block's scan order.
-    q32p: Vec<f32>,
     /// The query encoded on the current block's q8 grids, in wide i32
     /// codes (per block).
     qcodes: Vec<i32>,
@@ -400,21 +375,12 @@ pub struct LeafScanner {
 }
 
 impl LeafScanner {
-    /// A fresh scanner running leaf scans at `tier`, natural f64 order.
+    /// A fresh scanner running leaf scans at `tier`.
     pub fn new(tier: ScanTier) -> Self {
-        LeafScanner::with_order(tier, ScanOrder::Natural)
-    }
-
-    /// A fresh scanner running leaf scans at `tier` with the given f64
-    /// scan order.
-    pub fn with_order(tier: ScanTier, order: ScanOrder) -> Self {
         LeafScanner {
             tier,
-            order,
             q32: Vec::new(),
             rq32: 0.0,
-            qp: Vec::new(),
-            q32p: Vec::new(),
             qcodes: Vec::new(),
             lb32: Vec::new(),
             lbq8: Vec::new(),
@@ -428,11 +394,6 @@ impl LeafScanner {
     /// The tier this scanner runs at.
     pub fn tier(&self) -> ScanTier {
         self.tier
-    }
-
-    /// The f64 scan order this scanner runs with.
-    pub fn order(&self) -> ScanOrder {
-        self.order
     }
 
     /// Scans one leaf block, offering every non-filtered candidate to
@@ -492,8 +453,6 @@ impl LeafScanner {
             for (i, &d2) in self.d2.iter().enumerate() {
                 best.offer(d2, entries.row(i), entries.item(i));
             }
-        } else if self.order == ScanOrder::Energy && entries.scan_perm().is_some() {
-            self.scan_f64_energy(entries, query, best, shared, stats);
         } else {
             for (row, item) in entries.iter() {
                 stats.dist_evals += 1;
@@ -506,60 +465,6 @@ impl LeafScanner {
                         stats.abandoned_rows += 1;
                         stats.abandon_checkpoints += cp;
                     }
-                }
-            }
-        }
-    }
-
-    /// The energy-ordered f64 sweep: a certified *filter* over the leaf's
-    /// permuted rows.
-    ///
-    /// Permuting the summation order changes 4-lane FP rounding, so the
-    /// permuted partial sums are not bit-identical to the natural kernel's
-    /// — a row is therefore only abandoned when its permuted partial sum
-    /// clears [`kernel::order_prune_bound`], which certifies that the
-    /// *natural-order computed* distance is at least the pruning radius
-    /// (same contract as the f32/q8 phase-1 filters). Survivors are
-    /// re-ranked with the canonical natural-order kernel, so offered
-    /// distances — and hence answers — stay bit-identical to the natural
-    /// scan. Because the high-variance lanes come first, abandons fire at
-    /// earlier checkpoints than a natural sweep's.
-    fn scan_f64_energy(
-        &mut self,
-        entries: &LeafEntries,
-        query: &Point,
-        best: &mut BoundedMaxHeap,
-        shared: Option<&SharedBound>,
-        stats: &mut SearchStats,
-    ) {
-        let perm = entries.scan_perm().expect("energy leaf has a permutation");
-        let dim = entries.dim();
-        let q = query.coords();
-        self.qp.clear();
-        self.qp.extend(perm.iter().map(|&p| q[p as usize]));
-        for (i, srow) in entries.flat_scan_coords().chunks_exact(dim).enumerate() {
-            let bound = prune_bound(best, shared);
-            if bound == f64::INFINITY {
-                // Nothing can be filtered yet; run the canonical kernel.
-                let row = entries.row(i);
-                stats.dist_evals += 1;
-                best.offer(kernel::dist2(q, row), row, entries.item(i));
-                continue;
-            }
-            stats.lb_evals += 1;
-            let (s, cp) =
-                kernel::dist2_bounded_depth(&self.qp, srow, kernel::order_prune_bound(bound));
-            match s {
-                Some(_) => {
-                    let row = entries.row(i);
-                    stats.dist_evals += 1;
-                    stats.rerank_evals += 1;
-                    best.offer(kernel::dist2(q, row), row, entries.item(i));
-                }
-                None => {
-                    stats.dist_evals_saved += 1;
-                    stats.abandoned_rows += 1;
-                    stats.abandon_checkpoints += cp;
                 }
             }
         }
@@ -587,25 +492,12 @@ impl LeafScanner {
             self.q32 = query.coords().iter().map(|&c| c as f32).collect();
             self.rq32 = kernel::displacement_norm_f32(query.coords(), &self.q32);
         }
-        // The f32 mirror lives in the leaf's physical scan order; permute
-        // the query cast to match. Casting is elementwise, so permuting
-        // the cast equals casting the permuted query, and the displacement
-        // radius is a norm — invariant under the permutation.
-        let q32: &[f32] = match entries.scan_perm() {
-            None => &self.q32,
-            Some(perm) => {
-                let q32 = &self.q32;
-                self.q32p.clear();
-                self.q32p.extend(perm.iter().map(|&p| q32[p as usize]));
-                &self.q32p
-            }
-        };
         // The threshold is frozen at block start: a later (tighter) radius
         // only makes rows certified against this one *more* prunable.
         let t = kernel::f32_prune_threshold(bound, self.rq32, entries.f32_radius(), dim);
         self.lb32.resize(n, None);
         let (ab, cp) = kernel::dist2_batch_f32_bounded_depth(
-            q32,
+            &self.q32,
             entries.flat_f32(),
             dim,
             kernel::f32_kernel_bound(t),
@@ -628,9 +520,7 @@ impl LeafScanner {
     /// Phase 1 over the block's 8-bit scalar-quantized mirror, using the
     /// per-dimension grids through the weighted q8 kernels. Blocks with a
     /// degenerate grid (empty, or a coordinate range too wide for the grid
-    /// arithmetic) certify nothing and stay exact. The mirror lives in the
-    /// leaf's physical scan order; `quantize_query` encodes the query in
-    /// the same order, so no extra permute is needed here.
+    /// arithmetic) certify nothing and stay exact.
     fn scan_q8(
         &mut self,
         entries: &LeafEntries,
@@ -732,25 +622,28 @@ pub fn forest_knn_traced(
 }
 
 /// Like [`forest_knn_traced`], with an explicit [`ScanTier`] for the leaf
-/// scans and an explicit [`ScanOrder`] for the f64 leaf sweeps (see
-/// [`SpatialTree::knn_traced_ordered`]). Answers are identical across
-/// tiers and orders; only the work counters move.
+/// scans (see [`SpatialTree::knn_traced_ordered`]). Answers are identical
+/// across tiers; only the work counters move.
+///
+/// `_order` is accepted and ignored (see [`ScanOrder`]). The wall-clock
+/// benchmark (`benchmark/src/layers.rs`) still passes it; once a
+/// benchmark change drops that argument from its call, it goes here too.
 pub fn forest_knn_traced_ordered(
     trees: &[&SpatialTree],
     query: &Point,
     k: usize,
     algorithm: KnnAlgorithm,
     tier: ScanTier,
-    order: ScanOrder,
+    _order: ScanOrder,
 ) -> (Vec<Neighbor>, Vec<SearchStats>) {
     let mut stats = vec![SearchStats::default(); trees.len()];
     if k == 0 {
         return (Vec::new(), stats);
     }
     let result = match algorithm {
-        KnnAlgorithm::Rkv => forest_knn_rkv(trees, query, k, tier, order, &mut stats),
+        KnnAlgorithm::Rkv => forest_knn_rkv(trees, query, k, tier, &mut stats),
         KnnAlgorithm::Hs => {
-            let mut scanner = LeafScanner::with_order(tier, order);
+            let mut scanner = LeafScanner::new(tier);
             hs_search(trees, query, k, None, &mut scanner, &mut stats)
         }
     };
@@ -764,10 +657,9 @@ fn forest_knn_rkv(
     query: &Point,
     k: usize,
     tier: ScanTier,
-    order: ScanOrder,
     stats: &mut [SearchStats],
 ) -> Vec<Neighbor> {
-    let mut cursor = ForestCursor::with_tier_order(k, tier, order);
+    let mut cursor = ForestCursor::with_tier(k, tier);
     let itinerary = forest_itinerary(trees, query);
     for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
         if cursor.prunable(min_dist) {
@@ -835,26 +727,15 @@ impl ForestCursor {
     /// the tier's cost split across `lb_evals` / `rerank_evals` /
     /// `dist_evals`.
     pub fn with_tier(k: usize, tier: ScanTier) -> Self {
-        ForestCursor::with_tier_order(k, tier, ScanOrder::Natural)
-    }
-
-    /// A fresh cursor with an explicit [`ScanOrder`] for the f64 leaf
-    /// sweeps (see [`SpatialTree::knn_traced_ordered`]).
-    pub fn with_tier_order(k: usize, tier: ScanTier, order: ScanOrder) -> Self {
         ForestCursor {
             best: BoundedMaxHeap::new(k),
-            scanner: LeafScanner::with_order(tier, order),
+            scanner: LeafScanner::new(tier),
         }
     }
 
     /// The tier this cursor's leaf scans run at.
     pub fn tier(&self) -> ScanTier {
         self.scanner.tier()
-    }
-
-    /// The f64 scan order this cursor's leaf scans run with.
-    pub fn order(&self) -> ScanOrder {
-        self.scanner.order()
     }
 
     /// True once every tree whose root MINDIST² is at least `min_dist2`
@@ -1384,8 +1265,7 @@ mod tests {
                 let want = brute_force_knn(&data, q, 7);
                 for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
                     for algo in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
-                        let (got, stats) =
-                            tree.knn_traced_ordered(q, 7, algo, None, tier, ScanOrder::Natural);
+                        let (got, stats) = tree.knn_traced_ordered(q, 7, algo, None, tier);
                         assert_eq!(got.len(), want.len());
                         for (g, w) in got.iter().zip(&want) {
                             assert_eq!(
@@ -1426,7 +1306,7 @@ mod tests {
             for q in &UniformGenerator::new(dim).generate(10, 52) {
                 base += tree.knn_traced(q, 10, KnnAlgorithm::Rkv, None).1.dist_evals;
                 tiered += tree
-                    .knn_traced_ordered(q, 10, KnnAlgorithm::Rkv, None, tier, ScanOrder::Natural)
+                    .knn_traced_ordered(q, 10, KnnAlgorithm::Rkv, None, tier)
                     .1
                     .dist_evals;
             }
@@ -1460,22 +1340,8 @@ mod tests {
         for tier in [ScanTier::F32, ScanTier::Q8] {
             for q in &UniformGenerator::new(dim).generate(10, 62) {
                 let bound = SharedBound::new();
-                let (lres, _) = lt.knn_traced_ordered(
-                    q,
-                    k,
-                    KnnAlgorithm::Rkv,
-                    Some(&bound),
-                    tier,
-                    ScanOrder::Natural,
-                );
-                let (rres, _) = rt.knn_traced_ordered(
-                    q,
-                    k,
-                    KnnAlgorithm::Rkv,
-                    Some(&bound),
-                    tier,
-                    ScanOrder::Natural,
-                );
+                let (lres, _) = lt.knn_traced_ordered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
+                let (rres, _) = rt.knn_traced_ordered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
                 let mut merged: Vec<Neighbor> = lres.into_iter().chain(rres).collect();
                 merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
                 merged.truncate(k);
@@ -1536,95 +1402,41 @@ mod tests {
     }
 
     #[test]
-    fn energy_order_is_bit_identical_and_abandons_earlier() {
-        use crate::params::ScanOrder;
+    fn the_scan_order_argument_changes_nothing() {
+        // `ScanOrder` is accepted and ignored: a forest built and searched
+        // with `Energy` must give the `Natural` answer and counters.
         let dim = 8;
-        for pts in [
-            UniformGenerator::new(dim).generate(1600, 81),
-            ClusteredGenerator::new(dim, 5, 0.04).generate(1600, 82),
-        ] {
-            let build = |order: ScanOrder| {
-                let params = TreeParams::for_dim(dim, TreeVariant::xtree_default())
-                    .unwrap()
-                    .with_capacities(16, 8)
-                    .unwrap()
-                    .with_scan_order(order);
-                let data: Vec<(Point, u64)> = pts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.clone(), i as u64))
-                    .collect();
-                SpatialTree::bulk_load(params, data).unwrap()
-            };
-            let nat = build(ScanOrder::Natural);
-            let en = build(ScanOrder::Energy);
-            let (mut nat_ab, mut en_ab) = (0u64, 0u64);
-            for q in &UniformGenerator::new(dim).generate(10, 83) {
-                for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
-                    let (want, ns) = nat.knn_traced_ordered(
-                        q,
-                        9,
-                        KnnAlgorithm::Rkv,
-                        None,
-                        tier,
-                        ScanOrder::Natural,
-                    );
-                    let (got, es) = en.knn_traced_ordered(
-                        q,
-                        9,
-                        KnnAlgorithm::Rkv,
-                        None,
-                        tier,
-                        ScanOrder::Energy,
-                    );
-                    assert_eq!(got.len(), want.len(), "{tier:?}");
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?}");
-                        assert_eq!(g.item, w.item, "{tier:?}");
-                    }
-                    // The subset invariant holds on every tier.
-                    assert!(ns.abandoned_rows <= ns.dist_evals_saved);
-                    assert!(es.abandoned_rows <= es.dist_evals_saved);
-                    if tier == ScanTier::F64 {
-                        nat_ab += ns.abandoned_rows;
-                        en_ab += es.abandoned_rows;
-                    }
+        let pts = ClusteredGenerator::new(dim, 5, 0.04).generate(1600, 82);
+        let build = |order: ScanOrder| -> Vec<SpatialTree> {
+            let params = TreeParams::for_dim(dim, TreeVariant::xtree_default())
+                .unwrap()
+                .with_capacities(16, 8)
+                .unwrap()
+                .with_scan_order(order);
+            (0..3)
+                .map(|d| {
+                    let items: Vec<(Point, u64)> = pts
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % 3 == d)
+                        .map(|(i, p)| (p.clone(), i as u64))
+                        .collect();
+                    SpatialTree::bulk_load(params, items).unwrap()
+                })
+                .collect()
+        };
+        let (nat, en) = (build(ScanOrder::Natural), build(ScanOrder::Energy));
+        let (nat, en): (Vec<&SpatialTree>, Vec<&SpatialTree>) =
+            (nat.iter().collect(), en.iter().collect());
+        for q in &UniformGenerator::new(dim).generate(8, 83) {
+            for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
+                for algo in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
+                    let want =
+                        forest_knn_traced_ordered(&nat, q, 9, algo, tier, ScanOrder::Natural);
+                    let got = forest_knn_traced_ordered(&en, q, 9, algo, tier, ScanOrder::Energy);
+                    assert_eq!(got, want, "{tier:?} {algo:?}");
                 }
             }
-            // Both layouts abandon rows on the f64 tier; the energy-order
-            // *depth* advantage is measured by ext14, not asserted here.
-            assert!(nat_ab > 0, "natural f64 scan never abandoned a row");
-            assert!(en_ab > 0, "energy f64 filter never abandoned a row");
-        }
-    }
-
-    #[test]
-    fn energy_query_knob_is_bit_identical_on_natural_trees() {
-        // Asking for the energy filter on a tree stored naturally (no
-        // permutations anywhere) must be a plain no-op.
-        use crate::params::ScanOrder;
-        let dim = 6;
-        let pts = UniformGenerator::new(dim).generate(800, 91);
-        let tree = build_tree(&pts, dim, TreeVariant::xtree_default());
-        for q in &UniformGenerator::new(dim).generate(6, 92) {
-            let (want, ws) = tree.knn_traced_ordered(
-                q,
-                5,
-                KnnAlgorithm::Rkv,
-                None,
-                ScanTier::F64,
-                ScanOrder::Natural,
-            );
-            let (got, gs) = tree.knn_traced_ordered(
-                q,
-                5,
-                KnnAlgorithm::Rkv,
-                None,
-                ScanTier::F64,
-                ScanOrder::Energy,
-            );
-            assert_eq!(got, want);
-            assert_eq!(gs, ws, "no permuted leaves: stats must match exactly");
         }
     }
 

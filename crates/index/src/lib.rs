@@ -44,7 +44,6 @@ pub use knn::{
     KnnAlgorithm, LeafScanner, Neighbor, ScanTier, SearchStats, SharedBound,
 };
 pub use lsh::{LshConfig, LshTables};
-pub use node::energy_permutation;
 pub use params::{ScanOrder, TreeParams, TreeVariant};
 pub use persist::{PersistError, PersistedTree};
 pub use stats::TreeStats;

@@ -3,8 +3,6 @@
 use parsim_geometry::{HyperRect, Point};
 use parsim_storage::VectorArena;
 
-use crate::params::ScanOrder;
-
 /// Index of a node in the tree's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub u32);
@@ -45,25 +43,10 @@ impl LeafEntries {
     }
 
     /// Builds a block from owned entries (e.g. a split half or a bulk-load
-    /// run) in natural coordinate order.
+    /// run).
     pub fn from_entries(dim: usize, entries: Vec<LeafEntry>) -> Self {
-        LeafEntries::from_entries_ordered(dim, ScanOrder::Natural, entries)
-    }
-
-    /// Builds a block from owned entries with the requested scan-order
-    /// layout. [`ScanOrder::Energy`] computes this block's per-leaf energy
-    /// ordering — coordinates sorted by descending variance over the
-    /// block's rows — and permutes the scan views (and mirrors)
-    /// accordingly; blocks whose energy order is already natural (or that
-    /// are too small to rank) stay in the plain layout.
-    pub fn from_entries_ordered(dim: usize, order: ScanOrder, entries: Vec<LeafEntry>) -> Self {
-        let mut coords = VectorArena::from_rows(dim, entries.iter().map(|e| e.point.coords()));
+        let coords = VectorArena::from_rows(dim, entries.iter().map(|e| e.point.coords()));
         let items = entries.iter().map(|e| e.item).collect();
-        if order == ScanOrder::Energy {
-            if let Some(perm) = energy_permutation(&coords) {
-                coords.set_permutation(perm);
-            }
-        }
         LeafEntries { coords, items }
     }
 
@@ -108,29 +91,14 @@ impl LeafEntries {
         Point::from_vec(self.coords.row(i).to_vec())
     }
 
-    /// The whole block as one flat row-major slice in natural coordinate
-    /// order (exact batch-kernel view).
+    /// The whole block as one flat row-major slice (exact batch-kernel
+    /// view).
     #[inline]
     pub fn flat_coords(&self) -> &[f64] {
         self.coords.as_flat()
     }
 
-    /// The block in scan order: the energy-permuted copy when this leaf
-    /// carries a permutation, otherwise the natural rows.
-    #[inline]
-    pub fn flat_scan_coords(&self) -> &[f64] {
-        self.coords.as_flat_scan()
-    }
-
-    /// The leaf's scan-order permutation (stored lane `p` holds natural
-    /// coordinate `perm[p]`), or `None` for the natural layout.
-    #[inline]
-    pub fn scan_perm(&self) -> Option<&[u32]> {
-        self.coords.scan_perm()
-    }
-
-    /// The block's f32 mirror, flat row-major in scan order (phase-1 scan
-    /// view; permute the query with [`LeafEntries::scan_perm`] first).
+    /// The block's f32 mirror, flat row-major (phase-1 scan view).
     #[inline]
     pub fn flat_f32(&self) -> &[f32] {
         self.coords.as_flat_f32()
@@ -148,9 +116,8 @@ impl LeafEntries {
         self.coords.as_codes()
     }
 
-    /// Per-lane `(mins, scales)` of the block's quantization grids
-    /// (scan-order lanes), or `None` while degenerate (empty block, range
-    /// overflow).
+    /// Per-lane `(mins, scales)` of the block's quantization grids, or
+    /// `None` while degenerate (empty block, range overflow).
     #[inline]
     pub fn q8_grid(&self) -> Option<(&[f64], &[f64])> {
         self.coords.q8_grid()
@@ -214,46 +181,6 @@ impl LeafEntries {
     pub fn position(&self, coords: &[f64], item: u64) -> Option<usize> {
         self.iter()
             .position(|(row, it)| it == item && row == coords)
-    }
-}
-
-/// The energy ordering of a block: coordinate indices sorted by descending
-/// variance over the block's rows (stable — ties keep natural order), or
-/// `None` when ordering cannot help (fewer than two rows or dimensions, or
-/// the energy order already *is* the natural order).
-///
-/// Variance here is the uncentered-corrected sample form
-/// `E[x²] − E[x]²`; only the relative order matters, so the cheap
-/// single-pass form is fine (a slightly off tie-break costs nothing —
-/// correctness never depends on the permutation chosen).
-pub fn energy_permutation(coords: &VectorArena) -> Option<Vec<u32>> {
-    let dim = coords.dim();
-    let n = coords.len();
-    if n < 2 || dim < 2 {
-        return None;
-    }
-    let mut sum = vec![0.0f64; dim];
-    let mut sumsq = vec![0.0f64; dim];
-    for row in coords.iter() {
-        for (j, &v) in row.iter().enumerate() {
-            sum[j] += v;
-            sumsq[j] += v * v;
-        }
-    }
-    let inv = 1.0 / n as f64;
-    let var: Vec<f64> = (0..dim)
-        .map(|j| (sumsq[j] * inv - (sum[j] * inv).powi(2)).max(0.0))
-        .collect();
-    let mut perm: Vec<u32> = (0..dim as u32).collect();
-    perm.sort_by(|&a, &b| {
-        var[b as usize]
-            .partial_cmp(&var[a as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    if perm.iter().enumerate().all(|(i, &p)| p as usize == i) {
-        None
-    } else {
-        Some(perm)
     }
 }
 
@@ -434,12 +361,6 @@ impl InnerEntries {
 
 /// A tree node. `pages > 1` marks an X-tree supernode, which occupies
 /// several contiguous disk pages and has proportionally enlarged capacity.
-// The Leaf variant is much larger than Inner since the arena grew its
-// scan-order views (permutation, permuted copy, mirrors, grids), but
-// nodes live in a slab indexed by `NodeId` and are never moved or
-// passed by value on hot paths, so boxing would only add a pointer
-// chase to every leaf scan.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// A leaf holding data points.

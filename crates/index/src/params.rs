@@ -28,23 +28,23 @@ impl TreeVariant {
     }
 }
 
-/// Physical coordinate order of leaf scan blocks (see `DESIGN.md`,
-/// "Scan order").
+/// A leaf scan layout, kept only so that existing callers still compile:
+/// it is accepted everywhere and has no effect. Every leaf stores its rows
+/// in their own coordinate order.
 ///
-/// With [`ScanOrder::Energy`], bulk load (and every rebuild) permutes each
-/// leaf's rows — and their f32/q8 mirrors — so the highest-variance
-/// coordinates come first. Partial-distance sums then grow fastest early,
-/// the bounded kernels' 4-lane checkpoints abandon rows sooner, and the
-/// per-dimension q8 grids are computed on the same permuted layout.
-/// Answers stay bit-identical to [`ScanOrder::Natural`]: the permuted f64
-/// sweep is a certified *filter* (see `geometry::kernel::order_prune_bound`)
-/// and every survivor is re-ranked with the canonical natural-order rows.
+/// The energy layout (coordinates sorted by per-leaf variance, see
+/// `DESIGN.md`, "Scan order") was removed because no measured workload ran
+/// faster with it. The wall-clock benchmark (`benchmark/src/layers.rs`)
+/// still names `ScanOrder::Energy`, `TreeParams::with_scan_order`, the
+/// engine builder's `scan_order`, the engine config's `order` field and
+/// the `order` argument of `forest_knn_traced_ordered`. Once a benchmark
+/// change drops those calls, they go, and then this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScanOrder {
-    /// Rows stored in the caller's coordinate order (the default).
+    /// The only layout (the default).
     #[default]
     Natural,
-    /// Rows stored with coordinates sorted by descending per-leaf variance.
+    /// Accepted and ignored: scans exactly like [`ScanOrder::Natural`].
     Energy,
 }
 
@@ -63,8 +63,6 @@ pub struct TreeParams {
     pub min_fill: f64,
     /// Fraction of entries removed by a forced reinsert (R\*-tree: 30 %).
     pub reinsert_fraction: f64,
-    /// Physical coordinate order of bulk-loaded leaf blocks.
-    pub scan_order: ScanOrder,
 }
 
 impl TreeParams {
@@ -87,13 +85,11 @@ impl TreeParams {
             inner_capacity,
             min_fill: 0.4,
             reinsert_fraction: 0.3,
-            scan_order: ScanOrder::Natural,
         })
     }
 
-    /// Selects the physical coordinate order of bulk-loaded leaf blocks.
-    pub fn with_scan_order(mut self, order: ScanOrder) -> Self {
-        self.scan_order = order;
+    /// Accepted and ignored (see [`ScanOrder`]); returns `self` unchanged.
+    pub fn with_scan_order(self, _order: ScanOrder) -> Self {
         self
     }
 

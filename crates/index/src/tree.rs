@@ -406,14 +406,13 @@ impl SpatialTree {
             .center();
         let count = self.params.reinsert_count();
         let dim = self.params.dim;
-        let order = self.params.scan_order;
         match self.node_mut(leaf) {
             Node::Leaf { entries, .. } => {
                 let mut all = entries.take_all();
                 all.sort_by(|a, b| a.point.dist2(&center).total_cmp(&b.point.dist2(&center)));
                 let keep = all.len().saturating_sub(count);
                 let removed = all.split_off(keep);
-                *entries = LeafEntries::from_entries_ordered(dim, order, all);
+                *entries = LeafEntries::from_entries(dim, all);
                 removed
             }
             Node::Inner { .. } => unreachable!("reinsert only at leaves"),
@@ -489,13 +488,12 @@ impl SpatialTree {
         }
 
         let right_entries = entries.split_off(best_k);
-        let order = self.params.scan_order;
         *self.node_mut(node) = Node::Leaf {
-            entries: LeafEntries::from_entries_ordered(dim, order, entries),
+            entries: LeafEntries::from_entries(dim, entries),
             pages: 1,
         };
         let right = self.alloc(Node::Leaf {
-            entries: LeafEntries::from_entries_ordered(dim, order, right_entries),
+            entries: LeafEntries::from_entries(dim, right_entries),
             pages: 1,
         });
         (node, right, best_axis)

@@ -218,15 +218,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the engine-wide leaf-scan coordinate order (default
-    /// [`ScanOrder::Natural`]). With [`ScanOrder::Energy`] every bulk
-    /// load — and every [`crate::ParallelKnnEngine::reorganize`] rebuild —
-    /// stores leaf rows with coordinates permuted by descending per-leaf
-    /// variance, so bounded scans cross the pruning bound earlier.
-    /// Answers stay bit-identical on every tier; see `DESIGN.md` ("Scan
-    /// order") and `docs/TUNING.md`.
-    pub fn scan_order(mut self, order: ScanOrder) -> Self {
-        self.config.order = order;
+    /// Accepted and ignored: every leaf has one layout (see
+    /// [`ScanOrder`]). The benchmark still calls this; once a benchmark
+    /// change drops the call, it goes.
+    pub fn scan_order(self, _order: ScanOrder) -> Self {
         self
     }
 
@@ -394,18 +389,6 @@ mod tests {
         assert_eq!(e.config().tier, ScanTier::F32);
         let d = ParallelKnnEngine::builder(4).build(&pts).unwrap();
         assert_eq!(d.config().tier, ScanTier::F64);
-    }
-
-    #[test]
-    fn scan_order_knob_sets_the_config() {
-        let pts = UniformGenerator::new(4).generate(100, 6);
-        let e = ParallelKnnEngine::builder(4)
-            .scan_order(ScanOrder::Energy)
-            .build(&pts)
-            .unwrap();
-        assert_eq!(e.config().order, ScanOrder::Energy);
-        let d = ParallelKnnEngine::builder(4).build(&pts).unwrap();
-        assert_eq!(d.config().order, ScanOrder::Natural);
     }
 
     #[test]

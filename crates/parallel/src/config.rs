@@ -32,14 +32,9 @@ pub struct EngineConfig {
     /// tiers return bit-identical answers; individual queries can override
     /// via [`crate::QueryOptions::with_tier`].
     pub tier: ScanTier,
-    /// Coordinate layout of leaf scans (default: [`ScanOrder::Natural`]).
-    /// [`ScanOrder::Energy`] stores leaf rows with coordinates permuted by
-    /// descending per-leaf variance so bounded scans abandon earlier; the
-    /// layout is recomputed on every bulk load and
-    /// [`crate::ParallelKnnEngine::reorganize`] rebuild. Answers stay
-    /// bit-identical (see `DESIGN.md`, "Scan order"); individual queries
-    /// can override the *scan-side* knob via
-    /// [`crate::QueryOptions::with_order`].
+    /// Accepted and ignored: every leaf has one layout (see
+    /// [`ScanOrder`]). The benchmark still reads this field; once a
+    /// benchmark change stops reading it, it goes.
     pub order: ScanOrder,
     /// Disk service-time model.
     pub disk_model: DiskModel,

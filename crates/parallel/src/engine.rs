@@ -32,8 +32,8 @@ use parsim_index::knn::{
     forest_itinerary, ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound,
 };
 use parsim_index::{
-    CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, ScanOrder,
-    SpatialTree, TreeParams,
+    CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, SpatialTree,
+    TreeParams,
 };
 use parsim_storage::{DiskArray, DiskModel, FaultInjector, FaultKind, QueryCost};
 
@@ -203,13 +203,9 @@ pub(crate) struct StopList {
 /// The unit of work a stop-list query runs on each disk it visits.
 pub(crate) enum Unit {
     /// Exact tier: a tree search under the carried pruning bound. The
-    /// tier and scan order ride along so primary and failover searches
-    /// of one query always scan alike.
-    Tree {
-        bound: SharedBound,
-        tier: ScanTier,
-        order: ScanOrder,
-    },
+    /// tier rides along so primary and failover searches of one query
+    /// always scan alike.
+    Tree { bound: SharedBound, tier: ScanTier },
     /// Approximate tier: scans of the probe plan's buckets; a lost disk's
     /// buckets are read from its mirror shard.
     Lsh {
@@ -319,10 +315,10 @@ impl EngineCore {
         unit: &mut Unit,
     ) -> (Vec<Neighbor>, SearchStats) {
         match unit {
-            Unit::Tree { bound, tier, order } => {
+            Unit::Tree { bound, tier } => {
                 let search = |tree: &SpatialTree| {
                     let algorithm = self.config.algorithm;
-                    tree.knn_traced_ordered(query, k, algorithm, Some(bound), *tier, *order)
+                    tree.knn_traced_ordered(query, k, algorithm, Some(bound), *tier)
                 };
                 match host {
                     None => search(&self.trees[d].read()),
@@ -464,6 +460,7 @@ impl EngineCore {
     pub(crate) fn finish_stops(
         &self,
         list: StopList,
+        query: &Point,
         k: usize,
         trace: &mut QueryTrace,
     ) -> Result<Vec<Neighbor>, EngineError> {
@@ -499,7 +496,7 @@ impl EngineCore {
             Unit::Tree { .. } => merge_candidates(locals, k),
             Unit::Lsh { counters, .. } => {
                 counters.fold_into(trace);
-                merge_unique_candidates(locals, k)
+                merge_unique_candidates(locals, query, k)
             }
         })
     }
@@ -575,8 +572,7 @@ impl EngineInner {
         let mut trees = Vec::with_capacity(disks);
         for (i, part) in partitions.into_iter().enumerate() {
             let params = TreeParams::for_dim(config.dim, config.variant)
-                .map_err(|e| EngineError::Internal(e.to_string()))?
-                .with_scan_order(config.order);
+                .map_err(|e| EngineError::Internal(e.to_string()))?;
             let mut tree = SpatialTree::bulk_load(params, part)
                 .map_err(|e| EngineError::Internal(e.to_string()))?
                 .with_disk(Arc::clone(array.disk(i)));
@@ -605,8 +601,7 @@ impl EngineInner {
             let mut per_host = BTreeMap::new();
             for (host, part) in parts {
                 let params = TreeParams::for_dim(config.dim, config.variant)
-                    .map_err(|e| EngineError::Internal(e.to_string()))?
-                    .with_scan_order(config.order);
+                    .map_err(|e| EngineError::Internal(e.to_string()))?;
                 let tree = SpatialTree::bulk_load(params, part)
                     .map_err(|e| EngineError::Internal(e.to_string()))?
                     .with_disk(Arc::clone(array.disk(host)));
@@ -667,7 +662,6 @@ impl EngineInner {
         }
         let (timeout, retry) = self.resolve_policy(opts);
         let tier = opts.tier.unwrap_or(core.config.tier);
-        let order = opts.order.unwrap_or(core.config.order);
         let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
         let n = core.trees.len();
         let start = Instant::now();
@@ -681,7 +675,7 @@ impl EngineInner {
             && plan.as_ref().map_or(true, |p| !p.is_empty());
         let stage = match plan {
             None if !degraded && core.config.algorithm == KnnAlgorithm::Rkv => Stage::Rkv {
-                cursor: ForestCursor::with_tier_order(k, tier, order),
+                cursor: ForestCursor::with_tier(k, tier),
                 itinerary: match k {
                     0 => Vec::new(),
                     _ => core.itinerary(query),
@@ -697,7 +691,6 @@ impl EngineInner {
                     None => Unit::Tree {
                         bound: SharedBound::new(),
                         tier,
-                        order,
                     },
                 };
                 Stage::Stops {
@@ -2009,55 +2002,6 @@ mod tests {
         assert_eq!(e.len(), 38);
         e.reorganize().unwrap();
         assert_eq!(e.len(), 38);
-    }
-
-    #[test]
-    fn energy_scan_order_is_bit_identical_through_the_engine() {
-        use parsim_index::ScanOrder;
-        let pts = UniformGenerator::new(8).generate(2000, 17);
-        let nat = ParallelKnnEngine::builder(8).disks(8).build(&pts).unwrap();
-        let cfg = EngineConfig {
-            order: ScanOrder::Energy,
-            ..EngineConfig::paper_defaults(8)
-        };
-        let en = ParallelKnnEngine::builder(8)
-            .config(cfg)
-            .disks(8)
-            .build(&pts)
-            .unwrap();
-        assert_eq!(en.config().order, ScanOrder::Energy);
-        for q in UniformGenerator::new(8).generate(8, 18) {
-            for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
-                let opts = QueryOptions::traced(10).with_tier(tier);
-                let a = nat.query(&q, &opts).unwrap();
-                let b = en.query(&q, &opts).unwrap();
-                assert_eq!(a.neighbors.len(), b.neighbors.len());
-                for (x, y) in a.neighbors.iter().zip(&b.neighbors) {
-                    assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{tier:?}");
-                    assert_eq!(x.item, y.item, "{tier:?}");
-                }
-                // Page traces match too: the permutation never changes
-                // which nodes are visited.
-                let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
-                assert_eq!(ta.per_disk_pages, tb.per_disk_pages, "{tier:?}");
-            }
-        }
-        // The energy engine abandons rows on the f64 tier and surfaces
-        // checkpoint depth in the trace.
-        let q = Point::new(vec![0.5; 8]).unwrap();
-        let r = en
-            .query(&q, &QueryOptions::traced(10).with_order(ScanOrder::Energy))
-            .unwrap();
-        let t = r.trace.unwrap();
-        assert!(t.abandoned_rows > 0, "energy f64 filter never abandoned");
-        assert!(t.abandon_checkpoints >= t.abandoned_rows);
-        // Reorganize recomputes the energy layout; answers stay identical.
-        en.reorganize().unwrap();
-        for q in UniformGenerator::new(8).generate(4, 19) {
-            let a = nat.query(&q, &QueryOptions::new(10)).unwrap();
-            let b = en.query(&q, &QueryOptions::new(10)).unwrap();
-            assert_eq!(a.neighbors, b.neighbors);
-        }
     }
 
     #[test]

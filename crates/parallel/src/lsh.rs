@@ -184,9 +184,11 @@ impl LshRuntime {
     }
 
     /// Scans `disk`'s buckets for the given probe targets: charges
-    /// pages to `stats`, computes the exact f64 distance of every unique
-    /// row, and returns that disk's `k` best sorted `(dist, item)` (the
-    /// global top-`k` is a subset of the union of per-disk top-`k`s).
+    /// pages to `stats`, computes the exact f64 squared distance of every
+    /// unique row, and returns that disk's `k` best sorted by
+    /// `(dist2, item)`, as the tree heap ranks (the global top-`k` is a
+    /// subset of the union of per-disk top-`k`s). The square root is taken
+    /// only for the returned rows.
     ///
     /// The buckets hold row ids into the one shared row store, so a
     /// candidate costs one distance computation: the probed buckets' ids
@@ -224,8 +226,8 @@ impl LshRuntime {
         let mut scored: Vec<(f64, u64, u32)> = rows
             .iter()
             .map(|&row| {
-                let dist = kernel::dist2(self.row(row), query.coords()).sqrt();
-                (dist, self.items[row as usize], row)
+                let dist2 = kernel::dist2(self.row(row), query.coords());
+                (dist2, self.items[row as usize], row)
             })
             .collect();
         let by_key =
@@ -237,10 +239,10 @@ impl LshRuntime {
         scored.sort_unstable_by(by_key);
         scored
             .into_iter()
-            .map(|(dist, item, row)| Neighbor {
+            .map(|(dist2, item, row)| Neighbor {
                 item,
                 point: Point::from_vec(self.row(row).to_vec()),
-                dist,
+                dist: dist2.sqrt(),
             })
             .collect()
     }
@@ -291,20 +293,25 @@ impl LshRuntime {
     }
 }
 
-/// Merges per-disk LSH candidate lists into the global top `k`,
-/// deduplicating by item: an item stored on several disks (different
-/// tables) appears once per disk, always with the same bit-identical
-/// distance (one canonical kernel), so duplicates are adjacent after the
-/// `(dist, item)` sort and collapse cleanly.
+/// Merges per-disk LSH candidate lists into the global top `k`, ranked by
+/// `(dist2, item)` like [`LshRuntime::scan_disk`]: two rows whose
+/// distances round to the same `sqrt` are still told apart. `dist2` is the
+/// canonical kernel's, so it is bit-identical to the value the scan ranked
+/// on. Deduplicates by item: an item stored on several disks (different
+/// tables) appears once per disk, always with the same `dist2`, so
+/// duplicates are adjacent after the sort and collapse cleanly.
 pub(crate) fn merge_unique_candidates<'a>(
     locals: impl Iterator<Item = &'a [Neighbor]>,
+    query: &Point,
     k: usize,
 ) -> Vec<Neighbor> {
-    let mut merged: Vec<Neighbor> = locals.flatten().cloned().collect();
-    merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-    merged.dedup_by_key(|n| n.item);
-    merged.truncate(k);
-    merged
+    let mut merged: Vec<(f64, &Neighbor)> = locals
+        .flatten()
+        .map(|n| (kernel::dist2(n.point.coords(), query.coords()), n))
+        .collect();
+    merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.item.cmp(&b.1.item)));
+    merged.dedup_by_key(|(_, n)| n.item);
+    merged.into_iter().take(k).map(|(_, n)| n.clone()).collect()
 }
 
 #[cfg(test)]
@@ -400,7 +407,7 @@ mod tests {
     }
 
     /// The scan's oracle: every row of the probed buckets, once, ranked
-    /// by `(dist, item)` through `Point::dist` and cut to `k`.
+    /// by `(dist2, item)` through `Point::dist2` and cut to `k`.
     fn union_oracle(
         rt: &LshRuntime,
         disk: usize,
@@ -414,20 +421,18 @@ mod tests {
             .flatten()
             .copied()
             .collect();
-        let mut all: Vec<Neighbor> = rows
+        let mut all: Vec<(f64, Neighbor)> = rows
             .into_iter()
             .map(|row| {
                 let point = Point::from_vec(rt.row(row).to_vec());
-                Neighbor {
-                    item: rt.items[row as usize],
-                    dist: point.dist(q),
-                    point,
-                }
+                let dist2 = point.dist2(q);
+                let item = rt.items[row as usize];
+                let dist = dist2.sqrt();
+                (dist2, Neighbor { item, point, dist })
             })
             .collect();
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-        all.truncate(k);
-        all
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.item.cmp(&b.1.item)));
+        all.into_iter().take(k).map(|(_, n)| n).collect()
     }
 
     fn scan(rt: &LshRuntime, dp: &DiskProbes, q: &Point, k: usize) -> (Vec<Neighbor>, u64) {
@@ -506,16 +511,78 @@ mod tests {
 
     #[test]
     fn merge_unique_collapses_cross_disk_duplicates() {
-        let p = Point::new(vec![0.1, 0.2]).unwrap();
+        let q = Point::new(vec![0.0, 0.0]).unwrap();
         let n = |item: u64, dist: f64| Neighbor {
             item,
-            point: p.clone(),
+            point: Point::new(vec![dist, 0.0]).unwrap(),
             dist,
         };
         let a = vec![n(1, 0.5), n(2, 0.7)];
         let b = vec![n(1, 0.5), n(3, 0.6)];
-        let merged = merge_unique_candidates([a.as_slice(), b.as_slice()].into_iter(), 10);
+        let merged = merge_unique_candidates([a.as_slice(), b.as_slice()].into_iter(), &q, 10);
         let ids: Vec<u64> = merged.iter().map(|m| m.item).collect();
         assert_eq!(ids, vec![1, 3, 2]);
+    }
+
+    /// Two rows at squared distances 4 + 2⁻⁵⁰ (id 0) and 4 (id 1) from the
+    /// origin: both `sqrt` to exactly 2, so only `(dist2, item)` ranks id 1
+    /// first.
+    fn sqrt_tie() -> (Point, Point, Point) {
+        let near = Point::new(vec![2.0, 0.0]).unwrap();
+        let far = Point::new(vec![2.0, 2f64.powi(-25)]).unwrap();
+        let origin = Point::new(vec![0.0, 0.0]).unwrap();
+        assert!(far.dist2(&origin) > near.dist2(&origin));
+        assert_eq!(far.dist(&origin), near.dist(&origin));
+        (near, far, origin)
+    }
+
+    #[test]
+    fn the_scan_ranks_by_squared_distance_under_a_sqrt_tie() {
+        let (near, far, origin) = sqrt_tie();
+        // A far third row moves the centering mean away, so one hyperplane
+        // keeps the tied pair on one side.
+        let data = vec![
+            (far, 0),
+            (near, 1),
+            (Point::new(vec![-10.0, -10.0]).unwrap(), 2),
+        ];
+        let rt = LshRuntime::build(
+            LshConfig::new(1).tables(1).hyperplanes(1),
+            2,
+            &data,
+            1,
+            false,
+        );
+        let bucket = rt.shards[0]
+            .buckets
+            .iter()
+            .find(|(_, rows)| rows.contains(&0))
+            .map(|(&key, rows)| (key, rows.clone()))
+            .unwrap();
+        assert!(bucket.1.contains(&1), "the tied pair shares a bucket");
+        let dp = DiskProbes {
+            disk: 0,
+            buckets: vec![bucket.0],
+        };
+        let (got, _) = scan(&rt, &dp, &origin, 1);
+        assert_eq!((got[0].item, got[0].dist), (1, 2.0));
+    }
+
+    #[test]
+    fn the_merge_ranks_by_squared_distance_under_a_sqrt_tie() {
+        let (near, far, origin) = sqrt_tie();
+        let n = |item: u64, point: Point| Neighbor {
+            item,
+            dist: point.dist(&origin),
+            point,
+        };
+        // One candidate per disk: the merge alone decides.
+        let a = vec![n(0, far)];
+        let b = vec![n(1, near)];
+        for locals in [[&a, &b], [&b, &a]] {
+            let merged = merge_unique_candidates(locals.into_iter().map(Vec::as_slice), &origin, 1);
+            assert_eq!(merged.len(), 1);
+            assert_eq!(merged[0].item, 1);
+        }
     }
 }

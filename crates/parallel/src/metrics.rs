@@ -81,9 +81,7 @@ pub struct QueryTrace {
     pub abandoned_rows: u64,
     /// 4-coordinate checkpoints those abandoned rows executed before the
     /// partial sum crossed the bound. The mean abandon depth in
-    /// coordinates is `4 × abandon_checkpoints / abandoned_rows` — the
-    /// figure the energy scan order ([`parsim_index::ScanOrder`]) is
-    /// designed to shrink.
+    /// coordinates is `4 × abandon_checkpoints / abandoned_rows`.
     pub abandon_checkpoints: u64,
     /// LSH buckets probed over all tables and disks. Zero on every
     /// [`crate::QueryMode::Exact`] query.

@@ -10,7 +10,6 @@
 use std::time::Duration;
 
 use parsim_index::knn::{Neighbor, ScanTier};
-use parsim_index::ScanOrder;
 use parsim_storage::QueryCost;
 
 use crate::metrics::QueryTrace;
@@ -162,13 +161,6 @@ pub struct QueryOptions {
     /// kernel work for certified low-precision lower-bound work (see
     /// `docs/TUNING.md`).
     pub tier: Option<ScanTier>,
-    /// Scan-order knob for this query; overrides the engine's
-    /// [`crate::EngineConfig::order`] when set. This only controls whether
-    /// the f64 tier runs the certified permuted filter on energy-laid-out
-    /// leaves — the physical layout is fixed at build/rebuild time by the
-    /// engine config, and leaves stored naturally scan naturally under
-    /// either setting. Answers are bit-identical either way.
-    pub order: Option<ScanOrder>,
     /// Exact tree search or the approximate LSH tier (see [`QueryMode`]).
     pub mode: QueryMode,
 }
@@ -184,7 +176,6 @@ impl QueryOptions {
             workers: None,
             deadline: None,
             tier: None,
-            order: None,
             mode: QueryMode::Exact,
         }
     }
@@ -239,12 +230,6 @@ impl QueryOptions {
         self
     }
 
-    /// Sets the leaf-scan order knob for this query.
-    pub fn with_order(mut self, order: ScanOrder) -> Self {
-        self.order = Some(order);
-        self
-    }
-
     /// Sets the query mode (exact tree search or approximate LSH).
     pub fn with_mode(mut self, mode: QueryMode) -> Self {
         self.mode = mode;
@@ -285,7 +270,6 @@ mod tests {
             .with_workers(4)
             .with_deadline(Duration::from_millis(9))
             .with_tier(ScanTier::Q8)
-            .with_order(ScanOrder::Energy)
             .with_trace(true);
         assert_eq!(o.k, 5);
         assert!(o.trace);
@@ -299,9 +283,7 @@ mod tests {
             QueryMode::Approx { probes: 1 }
         );
         assert_eq!(o.tier, Some(ScanTier::Q8));
-        assert_eq!(o.order, Some(ScanOrder::Energy));
         assert_eq!(QueryOptions::new(3).tier, None);
-        assert_eq!(QueryOptions::new(3).order, None);
         assert_eq!(o.timeout, Some(Duration::from_millis(80)));
         assert_eq!(o.retry, Some(RetryPolicy::none()));
         assert_eq!(o.workers, Some(4));

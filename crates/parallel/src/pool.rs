@@ -530,6 +530,7 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
 /// record it, deliver the answer. The one place a query is recorded.
 pub(crate) fn complete(core: &EngineCore, task: QueryTask) {
     let QueryTask {
+        query,
         k,
         stats,
         start,
@@ -540,7 +541,7 @@ pub(crate) fn complete(core: &EngineCore, task: QueryTask) {
     let mut trace = QueryTrace::from_stats(&stats, start.elapsed(), core.array.model());
     let answer = match stage {
         Stage::Rkv { cursor, .. } => Ok(cursor.finish()),
-        Stage::Stops { list, .. } => core.finish_stops(list, k, &mut trace),
+        Stage::Stops { list, .. } => core.finish_stops(list, &query, k, &mut trace),
     };
     // Record before delivery so a snapshot taken after `wait` returns
     // always sees this query.

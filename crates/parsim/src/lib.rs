@@ -102,8 +102,8 @@ pub mod prelude {
     pub use parsim_geometry::{Euclidean, HyperRect, Metric, Point, QuadrantSplitter};
     pub use parsim_index::{
         forest_knn, forest_knn_traced, forest_knn_traced_ordered, CachingSink, KnnAlgorithm,
-        Neighbor, NnIterator, ScanOrder, ScanTier, SearchStats, SharedBound, SpatialTree,
-        TreeParams, TreeVariant,
+        Neighbor, NnIterator, ScanTier, SearchStats, SharedBound, SpatialTree, TreeParams,
+        TreeVariant,
     };
     pub use parsim_parallel::{
         run_knn_workload, run_traced_workload, AdmissionConfig, DeclusteredXTree, DegradedInfo,

@@ -16,27 +16,13 @@
 //! whole block can be handed to the batch distance kernel
 //! (`parsim_geometry::kernel::dist2_batch`) at once.
 //!
-//! # Scan-order permutation
-//!
-//! A block may additionally carry a **coordinate permutation** (set by the
-//! bulk loader's energy ordering, see `DESIGN.md`, "Scan order"): the scan
-//! mirrors below — and a permuted f64 copy of the rows — store lane
-//! `perm[p]` of each row at position `p`, so the highest-variance
-//! coordinates come first and partial-distance abandons fire earlier. The
-//! canonical `data` stays in natural order (every mutation path, MBR
-//! computation and exact re-rank reads it), at the cost of one extra
-//! `8·dim` bytes per row on permuted blocks. Queries are permuted once per
-//! block by the scanner; answers stay bit-identical because the permuted
-//! sweep only *filters* rows (with a certification pad) and survivors are
-//! re-ranked on the natural rows.
-//!
 //! # Precision mirrors
 //!
 //! Next to the canonical f64 rows the arena maintains two cheap mirrors,
 //! built eagerly by [`VectorArena::from_rows`] and kept in sync on every
 //! [`VectorArena::push`] / `swap_remove` / `clear`, so bulk load,
-//! persistence and incremental inserts all get them for free. Both live in
-//! **scan order** (permuted when a permutation is set):
+//! persistence and incremental inserts all get them for free. Both keep
+//! the rows' own coordinate order:
 //!
 //! * an **f32 mirror** (same row-major layout, each coordinate cast), with
 //!   [`VectorArena::f32_radius`] — the largest certified displacement
@@ -74,23 +60,17 @@ use parsim_geometry::kernel::{
 };
 
 /// A row-major block of `len()` vectors of `dim` coordinates each, plus
-/// f32 and q8 mirrors for the cheap scan tiers and an optional coordinate
-/// permutation for energy-ordered scans (see the module docs).
+/// f32 and q8 mirrors for the cheap scan tiers (see the module docs).
 #[derive(Clone, Debug)]
 pub struct VectorArena {
     dim: usize,
-    /// Canonical rows, natural coordinate order.
+    /// Canonical rows.
     data: Vec<f64>,
-    /// Scan-order lane map: stored lane `p` holds natural coordinate
-    /// `perm[p]`. Empty = identity (no permuted copy is kept).
-    perm: Vec<u32>,
-    /// Row-major permuted copy of `data` (empty while `perm` is).
-    pdata: Vec<f64>,
-    /// Row-major f32 casts of the rows, in scan order.
+    /// Row-major f32 casts of the rows.
     mirror32: Vec<f32>,
     /// Max over rows of the certified displacement `‖row − row₃₂‖₂`.
     r32: f64,
-    /// Row-major u8 codes of the rows on the per-lane grids, scan order.
+    /// Row-major u8 codes of the rows on the per-lane grids.
     codes: Vec<u8>,
     /// Per-lane grid origin (lane minimum at last requantize); empty while
     /// the block is.
@@ -103,12 +83,10 @@ pub struct VectorArena {
     wq8: Vec<f64>,
     /// Max over rows of the certified displacement `‖row − roŵ‖₂`.
     rq8: f64,
-    /// Reused per-push scratch for the scan-order row.
-    scratch: Vec<f64>,
 }
 
-/// Two arenas are equal when they hold the same rows. The permutation and
-/// the mirror state are excluded on purpose: they are derived caches whose
+/// Two arenas are equal when they hold the same rows. The mirrors are
+/// excluded on purpose: they are derived caches whose
 /// exact radii and grids depend on the *history* of pushes and removals
 /// (overestimates are kept across `swap_remove`), so two arenas with
 /// identical contents built along different paths still compare equal.
@@ -145,8 +123,6 @@ impl VectorArena {
         VectorArena {
             dim,
             data: Vec::with_capacity(dim * rows),
-            perm: Vec::new(),
-            pdata: Vec::new(),
             mirror32: Vec::with_capacity(dim * rows),
             r32: 0.0,
             codes: Vec::with_capacity(dim * rows),
@@ -155,7 +131,6 @@ impl VectorArena {
             qscale: Vec::new(),
             wq8: Vec::new(),
             rq8: 0.0,
-            scratch: Vec::with_capacity(dim),
         }
     }
 
@@ -177,8 +152,7 @@ impl VectorArena {
         self.data.is_empty()
     }
 
-    /// Appends one row (natural coordinate order; the scan mirrors are
-    /// updated in the block's current scan order).
+    /// Appends one row and updates both mirrors.
     ///
     /// # Panics
     ///
@@ -187,37 +161,28 @@ impl VectorArena {
     pub fn push(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "row dimension mismatch");
         self.data.extend_from_slice(row);
-        // Scan-order view of the incoming row.
-        let mut srow = std::mem::take(&mut self.scratch);
-        srow.clear();
-        if self.perm.is_empty() {
-            srow.extend_from_slice(row);
-        } else {
-            srow.extend(self.perm.iter().map(|&p| row[p as usize]));
-            self.pdata.extend_from_slice(&srow);
-        }
         // f32 mirror: cast the row, fold its displacement into the radius.
         let start32 = self.mirror32.len();
-        self.mirror32.extend(srow.iter().map(|&v| v as f32));
+        self.mirror32.extend(row.iter().map(|&v| v as f32));
         self.r32 = self
             .r32
-            .max(displacement_norm_f32(&srow, &self.mirror32[start32..]));
+            .max(displacement_norm_f32(row, &self.mirror32[start32..]));
         // q8 mirror: encode on the current per-lane grids when every lane
         // fits, otherwise widen the grids and requantize the whole block.
         let fits = !self.qmin.is_empty()
-            && srow
+            && row
                 .iter()
                 .zip(self.qmin.iter().zip(&self.qmax))
                 .all(|(&v, (&lo, &hi))| v >= lo && v <= hi);
         if fits {
             let startq = self.codes.len();
             self.codes.extend(
-                srow.iter()
+                row.iter()
                     .enumerate()
                     .map(|(j, &v)| encode(v, self.qmin[j], self.qscale[j])),
             );
             self.rq8 = self.rq8.max(displacement_norm_q8w(
-                &srow,
+                row,
                 &self.codes[startq..],
                 &self.qmin,
                 &self.qscale,
@@ -227,16 +192,15 @@ impl VectorArena {
                 self.qmin = vec![f64::INFINITY; self.dim];
                 self.qmax = vec![f64::NEG_INFINITY; self.dim];
             }
-            for (j, &v) in srow.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
                 self.qmin[j] = self.qmin[j].min(v);
                 self.qmax[j] = self.qmax[j].max(v);
             }
             self.requantize();
         }
-        self.scratch = srow;
     }
 
-    /// Builds an arena from `rows` (natural coordinate order) in one pass:
+    /// Builds an arena from `rows` in one pass:
     /// the rows are copied, then the f32 mirror, the per-lane q8 grids, the
     /// codes and both radii are computed once. The result is bit-for-bit
     /// the arena that [`VectorArena::push`]ing the same rows one at a time,
@@ -255,7 +219,12 @@ impl VectorArena {
             assert_eq!(row.len(), dim, "row dimension mismatch");
             arena.data.extend_from_slice(row);
         }
-        arena.rebuild_f32();
+        for row in arena.data.chunks_exact(dim) {
+            let start = arena.mirror32.len();
+            arena.mirror32.extend(row.iter().map(|&v| v as f32));
+            let r = displacement_norm_f32(row, &arena.mirror32[start..]);
+            arena.r32 = arena.r32.max(r);
+        }
         if arena.data.is_empty() {
             return arena;
         }
@@ -322,15 +291,10 @@ impl VectorArena {
             self.rq8 = f64::INFINITY;
             return;
         }
-        let stored: &[f64] = if self.perm.is_empty() {
-            &self.data
-        } else {
-            &self.pdata
-        };
         let mut codes = std::mem::take(&mut self.codes);
         codes.clear();
         let mut r = 0.0f64;
-        for row in stored.chunks_exact(self.dim) {
+        for row in self.data.chunks_exact(self.dim) {
             let start = codes.len();
             codes.extend(
                 row.iter()
@@ -348,95 +312,7 @@ impl VectorArena {
         self.rq8 = r;
     }
 
-    /// Installs a scan-order permutation (stored lane `p` ← natural
-    /// coordinate `perm[p]`) and rebuilds the permuted copy, the f32
-    /// mirror and the q8 mirror in the new order. An identity permutation
-    /// drops back to the plain natural layout (no permuted copy kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..dim`.
-    pub fn set_permutation(&mut self, perm: Vec<u32>) {
-        assert_eq!(perm.len(), self.dim, "permutation dimension mismatch");
-        let mut seen = vec![false; self.dim];
-        for &p in &perm {
-            assert!(
-                (p as usize) < self.dim && !seen[p as usize],
-                "not a permutation of 0..dim"
-            );
-            seen[p as usize] = true;
-        }
-        if perm.iter().enumerate().all(|(i, &p)| p as usize == i) {
-            if self.perm.is_empty() {
-                return;
-            }
-            self.perm.clear();
-            self.pdata.clear();
-        } else {
-            self.perm = perm;
-            self.pdata.clear();
-            self.pdata.reserve(self.data.len());
-            let (perm, data) = (&self.perm, &self.data);
-            for row in data.chunks_exact(self.dim) {
-                self.pdata.extend(perm.iter().map(|&p| row[p as usize]));
-            }
-        }
-        self.rebuild_mirrors();
-    }
-
-    /// Recomputes the f32 and q8 mirrors from scratch in the current scan
-    /// order (tight radii, tight per-lane grids).
-    fn rebuild_mirrors(&mut self) {
-        self.rebuild_f32();
-        // q8 mirror: fresh per-lane ranges, then requantize.
-        if self.data.is_empty() {
-            self.qmin.clear();
-            self.qmax.clear();
-            self.qscale.clear();
-            self.wq8.clear();
-            self.codes.clear();
-            self.rq8 = 0.0;
-            return;
-        }
-        let mut qmin = vec![f64::INFINITY; self.dim];
-        let mut qmax = vec![f64::NEG_INFINITY; self.dim];
-        for row in self.as_flat_scan().chunks_exact(self.dim) {
-            for (j, &v) in row.iter().enumerate() {
-                qmin[j] = qmin[j].min(v);
-                qmax[j] = qmax[j].max(v);
-            }
-        }
-        self.qmin = qmin;
-        self.qmax = qmax;
-        self.requantize();
-    }
-
-    /// Recomputes the f32 mirror and its radius from scratch, in the
-    /// current scan order.
-    fn rebuild_f32(&mut self) {
-        let mut mirror32 = std::mem::take(&mut self.mirror32);
-        mirror32.clear();
-        let mut r32 = 0.0f64;
-        for row in self.as_flat_scan().chunks_exact(self.dim) {
-            let start = mirror32.len();
-            mirror32.extend(row.iter().map(|&v| v as f32));
-            r32 = r32.max(displacement_norm_f32(row, &mirror32[start..]));
-        }
-        self.mirror32 = mirror32;
-        self.r32 = r32;
-    }
-
-    /// The scan-order permutation, or `None` while the layout is natural.
-    #[inline]
-    pub fn scan_perm(&self) -> Option<&[u32]> {
-        if self.perm.is_empty() {
-            None
-        } else {
-            Some(&self.perm)
-        }
-    }
-
-    /// The `i`-th row (natural coordinate order).
+    /// The `i`-th row.
     ///
     /// # Panics
     ///
@@ -446,27 +322,14 @@ impl VectorArena {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// The whole arena as one flat row-major slice in **natural** order —
-    /// the block view the exact batch distance kernel consumes.
+    /// The whole arena as one flat row-major slice — the block view the
+    /// batch distance kernels consume.
     #[inline]
     pub fn as_flat(&self) -> &[f64] {
         &self.data
     }
 
-    /// The whole arena as one flat row-major slice in **scan** order: the
-    /// permuted copy when a permutation is set, otherwise the natural
-    /// rows. This is the view the energy-ordered f64 filter sweeps.
-    #[inline]
-    pub fn as_flat_scan(&self) -> &[f64] {
-        if self.perm.is_empty() {
-            &self.data
-        } else {
-            &self.pdata
-        }
-    }
-
-    /// The f32 mirror as one flat row-major slice, in scan order (permute
-    /// the query with [`VectorArena::scan_perm`] before comparing).
+    /// The f32 mirror as one flat row-major slice.
     #[inline]
     pub fn as_flat_f32(&self) -> &[f32] {
         &self.mirror32
@@ -474,21 +337,19 @@ impl VectorArena {
 
     /// Certified overestimate of `max_rows ‖row − row₃₂‖₂` — the `r_x`
     /// input of the f32 lower-bound helpers. May be stale-high after
-    /// removals (overestimates are always safe). Permutation-invariant:
-    /// the underlying norms do not depend on lane order and the stored
-    /// value is an inflated overestimate either way.
+    /// removals (overestimates are always safe).
     #[inline]
     pub fn f32_radius(&self) -> f64 {
         self.r32
     }
 
-    /// The q8 code mirror as one flat row-major slice, in scan order.
+    /// The q8 code mirror as one flat row-major slice.
     #[inline]
     pub fn as_codes(&self) -> &[u8] {
         &self.codes
     }
 
-    /// The per-lane q8 grids `(mins, scales)` (scan-order lanes) when they
+    /// The per-lane q8 grids `(mins, scales)` when they
     /// are usable for certified pruning, `None` while degenerate (empty
     /// block, or a lane range too wide for a finite scale). Constant lanes
     /// are *not* degenerate — their scale is `0` and they reconstruct
@@ -517,8 +378,8 @@ impl VectorArena {
         self.rq8
     }
 
-    /// Quantizes a query (natural coordinate order) onto this block's
-    /// per-lane grids, writing scan-order **wide** i32 codes into `out`,
+    /// Quantizes a query onto this block's per-lane grids, writing
+    /// **wide** i32 codes into `out`,
     /// and returns the certified displacement `‖query − querŷ‖₂` — the
     /// `r_q` input of the q8 helpers. Query coordinates outside a lane's
     /// range encode beyond `[0, 255]` instead of clamping to the grid edge
@@ -545,26 +406,16 @@ impl VectorArena {
             }
         };
         out.clear();
-        if self.perm.is_empty() {
-            out.extend(
-                query
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| qencode(v, self.qmin[j], self.qscale[j])),
-            );
-            displacement_norm_q8w_query(query, out, &self.qmin, &self.qscale)
-        } else {
-            let qp: Vec<f64> = self.perm.iter().map(|&p| query[p as usize]).collect();
-            out.extend(
-                qp.iter()
-                    .enumerate()
-                    .map(|(j, &v)| qencode(v, self.qmin[j], self.qscale[j])),
-            );
-            displacement_norm_q8w_query(&qp, out, &self.qmin, &self.qscale)
-        }
+        out.extend(
+            query
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| qencode(v, self.qmin[j], self.qscale[j])),
+        );
+        displacement_norm_q8w_query(query, out, &self.qmin, &self.qscale)
     }
 
-    /// Iterates over the rows in order (natural coordinate order).
+    /// Iterates over the rows in order.
     #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[f64]> {
         self.data.chunks_exact(self.dim)
@@ -584,24 +435,18 @@ impl VectorArena {
                 self.data[i * self.dim + c] = self.data[last * self.dim + c];
                 self.mirror32[i * self.dim + c] = self.mirror32[last * self.dim + c];
                 self.codes[i * self.dim + c] = self.codes[last * self.dim + c];
-                if !self.pdata.is_empty() {
-                    self.pdata[i * self.dim + c] = self.pdata[last * self.dim + c];
-                }
             }
         }
         self.data.truncate(last * self.dim);
         self.mirror32.truncate(last * self.dim);
         self.codes.truncate(last * self.dim);
-        self.pdata.truncate(self.pdata.len().min(last * self.dim));
-        // The radii, the grids and the permutation stay: they remain valid
+        // The radii and the grids stay: they remain valid
         // for the surviving rows (shrinking them would require a rescan).
     }
 
-    /// Removes all rows, keeping the allocation, the dimension and the
-    /// scan-order permutation.
+    /// Removes all rows, keeping the allocation and the dimension.
     pub fn clear(&mut self) {
         self.data.clear();
-        self.pdata.clear();
         self.mirror32.clear();
         self.r32 = 0.0;
         self.codes.clear();
@@ -628,9 +473,6 @@ mod tests {
         assert_eq!(a.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(a.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(a.as_flat(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        // Natural layout: the scan view aliases the canonical rows.
-        assert_eq!(a.as_flat_scan(), a.as_flat());
-        assert!(a.scan_perm().is_none());
         let rows: Vec<&[f64]> = a.iter().collect();
         assert_eq!(rows, vec![&[1.0, 2.0, 3.0][..], &[4.0, 5.0, 6.0][..]]);
     }
@@ -820,59 +662,6 @@ mod tests {
         let rq = b.quantize_query(&[1.0], &mut codes);
         assert_eq!(codes[0], 1 << 25);
         assert!(rq >= 0.9, "capped code must report its residual: {rq}");
-    }
-
-    #[test]
-    fn permutation_reorders_scan_views_only() {
-        let mut a = VectorArena::new(3);
-        a.push(&[1.0, 2.0, 3.0]);
-        a.push(&[4.0, 5.0, 6.0]);
-        a.set_permutation(vec![2, 0, 1]);
-        // Canonical rows untouched.
-        assert_eq!(a.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(a.as_flat(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        // Scan views permuted.
-        assert_eq!(a.scan_perm(), Some(&[2u32, 0, 1][..]));
-        assert_eq!(a.as_flat_scan(), &[3.0, 1.0, 2.0, 6.0, 4.0, 5.0]);
-        assert_eq!(a.as_flat_f32(), &[3.0f32, 1.0, 2.0, 6.0, 4.0, 5.0]);
-        // q8 grids follow the stored lanes.
-        let (mins, _) = a.q8_grid().unwrap();
-        assert_eq!(mins, &[3.0, 1.0, 2.0]);
-        // Pushes maintain the permuted views.
-        a.push(&[7.0, 8.0, 9.0]);
-        assert_eq!(&a.as_flat_scan()[6..], &[9.0, 7.0, 8.0]);
-        assert_eq!(a.row(2), &[7.0, 8.0, 9.0]);
-        // swap_remove keeps all views aligned.
-        a.swap_remove(0);
-        assert_eq!(a.row(0), &[7.0, 8.0, 9.0]);
-        assert_eq!(&a.as_flat_scan()[..3], &[9.0, 7.0, 8.0]);
-        for (v, m) in a.as_flat_scan().iter().zip(a.as_flat_f32()) {
-            assert_eq!(*m, *v as f32);
-        }
-        // Quantized queries come back in scan order.
-        let mut codes = Vec::new();
-        a.quantize_query(&[4.0, 5.0, 6.0], &mut codes);
-        let (mins, scales) = a.q8_grid().unwrap();
-        for (j, &c) in codes.iter().enumerate() {
-            let recon = mins[j] + c as f64 * scales[j];
-            let want = [6.0, 4.0, 5.0][j];
-            assert!(
-                (recon - want).abs() <= scales[j].max(1e-12),
-                "lane {j}: {recon} vs {want}"
-            );
-        }
-        // Identity permutation drops the permuted copy again.
-        a.set_permutation(vec![0, 1, 2]);
-        assert!(a.scan_perm().is_none());
-        assert_eq!(a.as_flat_scan(), a.as_flat());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn set_permutation_rejects_non_permutations() {
-        let mut a = VectorArena::new(3);
-        a.push(&[1.0, 2.0, 3.0]);
-        a.set_permutation(vec![0, 0, 1]);
     }
 
     #[test]

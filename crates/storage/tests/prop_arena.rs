@@ -1,8 +1,8 @@
 //! Property tests of the bulk arena build: `VectorArena::from_rows` must
 //! reproduce, bit for bit, the state that pushing the same rows one at a
-//! time gives — the canonical rows and every derived view (scan copy, f32
-//! mirror and radius, q8 codes, grids, weights and radius) — both as built
-//! and after a scan-order permutation. Floats are compared by `to_bits`,
+//! time gives — the canonical rows and every derived view (f32 mirror and
+//! radius, q8 codes, grids, weights and radius) — both as built and after
+//! one more push. Floats are compared by `to_bits`,
 //! so a NaN, a signed zero or a radius rounded the other way all count as
 //! a divergence.
 
@@ -14,14 +14,12 @@ use parsim_storage::VectorArena;
 #[derive(Debug, PartialEq)]
 struct Views {
     flat: Vec<u64>,
-    flat_scan: Vec<u64>,
     flat_f32: Vec<u32>,
     f32_radius: u64,
     codes: Vec<u8>,
     q8_grid: Option<(Vec<u64>, Vec<u64>)>,
     q8_weights: Vec<u64>,
     q8_radius: u64,
-    scan_perm: Option<Vec<u32>>,
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -31,14 +29,12 @@ fn bits(v: &[f64]) -> Vec<u64> {
 fn views(a: &VectorArena) -> Views {
     Views {
         flat: bits(a.as_flat()),
-        flat_scan: bits(a.as_flat_scan()),
         flat_f32: a.as_flat_f32().iter().map(|x| x.to_bits()).collect(),
         f32_radius: a.f32_radius().to_bits(),
         codes: a.as_codes().to_vec(),
         q8_grid: a.q8_grid().map(|(mins, scales)| (bits(mins), bits(scales))),
         q8_weights: bits(a.q8_weights()),
         q8_radius: a.q8_radius().to_bits(),
-        scan_perm: a.scan_perm().map(<[u32]>::to_vec),
     }
 }
 
@@ -50,25 +46,16 @@ fn pushed(dim: usize, rows: &[Vec<f64>]) -> VectorArena {
     a
 }
 
-/// Checks `from_rows` against the push-by-push arena as built, after
-/// `perm` is installed on both, and after one more push onto both.
-fn assert_equivalent(dim: usize, rows: &[Vec<f64>], perm: Vec<u32>) {
+/// Checks `from_rows` against the push-by-push arena as built and after
+/// one more push onto both.
+fn assert_equivalent(dim: usize, rows: &[Vec<f64>]) {
     let mut bulk = VectorArena::from_rows(dim, rows.iter().map(Vec::as_slice));
     let mut inc = pushed(dim, rows);
     assert_eq!(views(&bulk), views(&inc), "as built: {rows:?}");
-    bulk.set_permutation(perm.clone());
-    inc.set_permutation(perm.clone());
-    assert_eq!(views(&bulk), views(&inc), "permuted {perm:?}: {rows:?}");
     let extra: Vec<f64> = (0..dim).map(|j| j as f64 - 0.5).collect();
     bulk.push(&extra);
     inc.push(&extra);
     assert_eq!(views(&bulk), views(&inc), "pushed after: {rows:?}");
-}
-
-/// A permutation of `0..dim` that reverses the lanes and rotates them by
-/// one, so no lane stays in place for `dim >= 3`.
-fn shuffled(dim: usize) -> Vec<u32> {
-    (0..dim as u32).rev().cycle().skip(1).take(dim).collect()
 }
 
 /// One coordinate drawn from a mix of bands: plain, wide and offset,
@@ -106,20 +93,13 @@ fn banded(rows: Vec<Vec<f64>>, bands: &[u64]) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// `perm` as a permutation of `0..dim`: the lanes ranked by `keys`.
-fn ranked(keys: &[u64]) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
-    perm.sort_by_key(|&j| keys[j as usize]);
-    perm
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn from_rows_matches_push_by_push((dim, rows, keys) in rows_strategy()) {
         let rows = banded(rows, &keys);
-        assert_equivalent(dim, &rows, ranked(&keys));
+        assert_equivalent(dim, &rows);
     }
 
     #[test]
@@ -128,20 +108,20 @@ proptest! {
         // the incremental path, and the longest replay of its grid growth.
         let mut rows = banded(rows, &keys);
         rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        assert_equivalent(dim, &rows, shuffled(dim));
+        assert_equivalent(dim, &rows);
         rows.reverse();
-        assert_equivalent(dim, &rows, shuffled(dim));
+        assert_equivalent(dim, &rows);
     }
 }
 
 #[test]
 fn one_row() {
-    assert_equivalent(3, &[vec![0.25, -4.0, 1e9]], shuffled(3));
+    assert_equivalent(3, &[vec![0.25, -4.0, 1e9]]);
 }
 
 #[test]
 fn no_rows() {
-    assert_equivalent(2, &[], vec![1, 0]);
+    assert_equivalent(2, &[]);
 }
 
 #[test]
@@ -149,7 +129,7 @@ fn constant_lane() {
     let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![0.5, i as f64 * 0.1, 0.5]).collect();
     let bulk = VectorArena::from_rows(3, rows.iter().map(Vec::as_slice));
     assert_eq!(bulk.q8_grid().expect("constant lanes are exact").1[0], 0.0);
-    assert_equivalent(3, &rows, shuffled(3));
+    assert_equivalent(3, &rows);
 }
 
 #[test]
@@ -160,7 +140,7 @@ fn signed_zeros() {
         vec![0.0, 1.0],
         vec![-0.0, -0.0],
     ];
-    assert_equivalent(2, &rows, vec![1, 0]);
+    assert_equivalent(2, &rows);
 }
 
 #[test]
@@ -171,8 +151,8 @@ fn nan_coordinate() {
         vec![0.4, f64::NAN, 0.9],
         vec![0.2, 0.3, 0.4],
     ];
-    assert_equivalent(3, &rows, shuffled(3));
-    assert_equivalent(3, &[vec![f64::NAN; 3], vec![1.0; 3]], shuffled(3));
+    assert_equivalent(3, &rows);
+    assert_equivalent(3, &[vec![f64::NAN; 3], vec![1.0; 3]]);
 }
 
 #[test]
@@ -183,7 +163,7 @@ fn infinite_coordinates() {
         vec![0.5, f64::NEG_INFINITY],
         vec![0.25, 0.75],
     ];
-    assert_equivalent(2, &rows, vec![1, 0]);
+    assert_equivalent(2, &rows);
 }
 
 #[test]
@@ -200,7 +180,7 @@ fn overflowing_grid() {
     let bulk = VectorArena::from_rows(2, rows.iter().map(Vec::as_slice));
     assert!(bulk.q8_grid().is_none());
     assert_eq!(bulk.q8_radius(), f64::INFINITY);
-    assert_equivalent(2, &rows, vec![1, 0]);
+    assert_equivalent(2, &rows);
 }
 
 #[test]
