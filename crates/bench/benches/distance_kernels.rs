@@ -19,10 +19,11 @@
 //! layout before the slab. ns per entry = ms/iter × 100.
 //!
 //! The `arena_build` group times building one `VectorArena` from clustered
-//! rows: `push/<dim>x<rows>` pushes them one at a time, `from_rows/…` hands
-//! them over at once. Both give the same arena, mirrors included. The
-//! 60-row block is a leaf page, the 10 000-row block a shard-sized store.
-//! ns per row = ms/iter × 10⁶ / rows.
+//! rows and then reading its q8 radius, the first mirror access, which
+//! builds the f32 and q8 mirrors: `push/<dim>x<rows>` pushes the rows one
+//! at a time, `from_rows/…` hands them over at once. Both give the same
+//! arena, mirrors included. The 60-row block is a leaf page, the
+//! 10 000-row block a shard-sized store. ns per row = ms/iter × 10⁶ / rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -178,11 +179,17 @@ fn bench_arena_build(c: &mut Criterion) {
                     for p in &points {
                         arena.push(black_box(p.coords()));
                     }
+                    black_box(arena.q8_radius());
                     arena
                 })
             });
             group.bench_function(&format!("from_rows/{label}"), |b| {
-                b.iter(|| VectorArena::from_rows(dim, points.iter().map(|p| black_box(p.coords()))))
+                b.iter(|| {
+                    let arena =
+                        VectorArena::from_rows(dim, points.iter().map(|p| black_box(p.coords())));
+                    black_box(arena.q8_radius());
+                    arena
+                })
             });
         }
     }

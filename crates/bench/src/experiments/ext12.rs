@@ -104,6 +104,9 @@ pub fn measure(scale: f64) -> Vec<TierRow> {
         };
         let (base, _) = run(ScanTier::F64);
         for (tier, name, lb_bytes) in TIERS {
+            // The first cheap-tier run builds the leaves' mirrors; time
+            // the scan on built mirrors, as the f64 row runs warm too.
+            run(tier);
             let (res, measured_ms) = run(tier);
             let mut f64_evals = 0u64;
             let mut lb_evals = 0u64;

@@ -98,6 +98,14 @@ impl LeafEntries {
         self.coords.as_flat()
     }
 
+    /// True if the block's cheap-tier mirrors are built (see
+    /// [`VectorArena`]); they are built by the first f32 or q8 scan of
+    /// the block and dropped by every write to it.
+    #[inline]
+    pub fn mirrors_built(&self) -> bool {
+        self.coords.mirrors_built()
+    }
+
     /// The block's f32 mirror, flat row-major (phase-1 scan view).
     #[inline]
     pub fn flat_f32(&self) -> &[f32] {

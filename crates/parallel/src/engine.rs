@@ -27,7 +27,7 @@ use parking_lot::{Mutex, RwLock};
 use parsim_decluster::quantile::median_splits_of;
 use parsim_decluster::replica::ReplicaRouting;
 use parsim_decluster::Declusterer;
-use parsim_geometry::{Point, QuadrantSplitter};
+use parsim_geometry::{kernel, Point, QuadrantSplitter};
 use parsim_index::knn::{
     forest_itinerary, ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound,
 };
@@ -40,7 +40,7 @@ use parsim_storage::{DiskArray, DiskModel, FaultInjector, FaultKind, QueryCost};
 use crate::builder::{EngineBuilder, ResolvedDecluster};
 use crate::config::{EngineConfig, SplitStrategy};
 use crate::ingest::{DeltaOp, DeltaState, IngestConfig, QueryOverlay};
-use crate::lsh::{merge_unique_candidates, DiskProbes, LshCounters, LshRuntime};
+use crate::lsh::{DiskProbes, LshCounters, LshRuntime};
 use crate::metrics::{DegradedInfo, QueryTrace};
 use crate::obs::EngineMetrics;
 use crate::options::{
@@ -491,14 +491,11 @@ impl EngineCore {
                 added_latency: modeled_parallel.saturating_sub(healthy_parallel),
             });
         }
+        if let Unit::Lsh { counters, .. } = list.unit {
+            counters.fold_into(trace);
+        }
         let locals = list.candidates.iter().map(Vec::as_slice);
-        Ok(match list.unit {
-            Unit::Tree { .. } => merge_candidates(locals, k),
-            Unit::Lsh { counters, .. } => {
-                counters.fold_into(trace);
-                merge_unique_candidates(locals, query, k)
-            }
-        })
+        Ok(merge_candidates(locals, query, k))
     }
 }
 
@@ -1575,16 +1572,28 @@ fn simulate_flaky_reads(
     (retries, extra, true)
 }
 
-/// Merges per-disk candidate lists into the global top `k` (ties broken by
-/// item id, matching [`parsim_index::knn::brute_force_knn`]).
+/// Merges per-disk candidate lists into the global top `k`, ranked on the
+/// canonical `(dist2, item)` key of
+/// [`parsim_index::knn::brute_force_knn`], the tree heap and
+/// [`LshRuntime::scan_disk`]. `dist2` is recomputed from each candidate's
+/// point with the canonical kernel, so it is bit-identical to the value
+/// the disk's scan ranked on, and two rows whose `dist2` differ but round
+/// to one `sqrt` are still told apart. Deduplicates by item: an LSH item
+/// stored on several disks (different tables) appears once per disk,
+/// always with the same `dist2`, so its copies are adjacent after the
+/// sort and collapse; a tree item lives on one disk only.
 pub(crate) fn merge_candidates<'a>(
     locals: impl Iterator<Item = &'a [Neighbor]>,
+    query: &Point,
     k: usize,
 ) -> Vec<Neighbor> {
-    let mut merged: Vec<Neighbor> = locals.flatten().cloned().collect();
-    merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-    merged.truncate(k);
-    merged
+    let mut merged: Vec<(f64, &Neighbor)> = locals
+        .flatten()
+        .map(|n| (kernel::dist2(n.point.coords(), query.coords()), n))
+        .collect();
+    merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.item.cmp(&b.1.item)));
+    merged.dedup_by_key(|(_, n)| n.item);
+    merged.into_iter().take(k).map(|(_, n)| n.clone()).collect()
 }
 
 #[cfg(test)]

@@ -27,6 +27,8 @@ use parsim_geometry::Point;
 use parsim_index::knn::{brute_force_knn, Neighbor};
 use parsim_storage::OpLog;
 
+use crate::engine::merge_candidates;
+
 /// Write-path configuration, set at build time through
 /// [`EngineBuilder::ingest`](crate::EngineBuilder::ingest). An engine
 /// built without one is read-only: `insert`/`remove` return
@@ -189,6 +191,7 @@ impl DeltaState {
             return None;
         }
         Some(QueryOverlay {
+            query: query.clone(),
             delta_hits: brute_force_knn(&self.live, query, k),
             tombstones: self.tombstones.iter().copied().collect(),
             k,
@@ -222,6 +225,8 @@ impl DeltaState {
 /// The delta view a query merges into its main-index answer, snapshotted
 /// at submission under the delta lock — the query's linearization point.
 pub(crate) struct QueryOverlay {
+    /// The query, for the merge's squared distances.
+    query: Point,
     /// The delta buffer's own top-`k` for this query.
     delta_hits: Vec<Neighbor>,
     /// Sorted tombstoned item ids, filtered out of the main answer.
@@ -242,16 +247,14 @@ impl QueryOverlay {
     /// Merges the main-index candidates with the delta snapshot:
     /// tombstoned items drop out, delta hits merge in, and the result is
     /// the exact top-`k` over `index ∪ delta` under the engine's
-    /// canonical `(dist, item)` order.
-    pub(crate) fn apply(&self, main: Vec<Neighbor>) -> Vec<Neighbor> {
-        let mut merged: Vec<Neighbor> = main
-            .into_iter()
-            .filter(|n| self.tombstones.binary_search(&n.item).is_err())
-            .chain(self.delta_hits.iter().cloned())
-            .collect();
-        merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-        merged.truncate(self.k);
-        merged
+    /// canonical `(dist2, item)` order.
+    pub(crate) fn apply(&self, mut main: Vec<Neighbor>) -> Vec<Neighbor> {
+        main.retain(|n| self.tombstones.binary_search(&n.item).is_err());
+        merge_candidates(
+            [main.as_slice(), self.delta_hits.as_slice()].into_iter(),
+            &self.query,
+            self.k,
+        )
     }
 }
 

@@ -293,30 +293,10 @@ impl LshRuntime {
     }
 }
 
-/// Merges per-disk LSH candidate lists into the global top `k`, ranked by
-/// `(dist2, item)` like [`LshRuntime::scan_disk`]: two rows whose
-/// distances round to the same `sqrt` are still told apart. `dist2` is the
-/// canonical kernel's, so it is bit-identical to the value the scan ranked
-/// on. Deduplicates by item: an item stored on several disks (different
-/// tables) appears once per disk, always with the same `dist2`, so
-/// duplicates are adjacent after the sort and collapse cleanly.
-pub(crate) fn merge_unique_candidates<'a>(
-    locals: impl Iterator<Item = &'a [Neighbor]>,
-    query: &Point,
-    k: usize,
-) -> Vec<Neighbor> {
-    let mut merged: Vec<(f64, &Neighbor)> = locals
-        .flatten()
-        .map(|n| (kernel::dist2(n.point.coords(), query.coords()), n))
-        .collect();
-    merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.item.cmp(&b.1.item)));
-    merged.dedup_by_key(|(_, n)| n.item);
-    merged.into_iter().take(k).map(|(_, n)| n.clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::merge_candidates;
     use parsim_datagen::{DataGenerator, UniformGenerator};
 
     fn items(n: usize, dim: usize, seed: u64) -> Vec<(Point, u64)> {
@@ -519,7 +499,7 @@ mod tests {
         };
         let a = vec![n(1, 0.5), n(2, 0.7)];
         let b = vec![n(1, 0.5), n(3, 0.6)];
-        let merged = merge_unique_candidates([a.as_slice(), b.as_slice()].into_iter(), &q, 10);
+        let merged = merge_candidates([a.as_slice(), b.as_slice()].into_iter(), &q, 10);
         let ids: Vec<u64> = merged.iter().map(|m| m.item).collect();
         assert_eq!(ids, vec![1, 3, 2]);
     }
@@ -580,7 +560,7 @@ mod tests {
         let a = vec![n(0, far)];
         let b = vec![n(1, near)];
         for locals in [[&a, &b], [&b, &a]] {
-            let merged = merge_unique_candidates(locals.into_iter().map(Vec::as_slice), &origin, 1);
+            let merged = merge_candidates(locals.into_iter().map(Vec::as_slice), &origin, 1);
             assert_eq!(merged.len(), 1);
             assert_eq!(merged[0].item, 1);
         }

@@ -18,11 +18,15 @@
 //!
 //! # Precision mirrors
 //!
-//! Next to the canonical f64 rows the arena maintains two cheap mirrors,
-//! built eagerly by [`VectorArena::from_rows`] and kept in sync on every
-//! [`VectorArena::push`] / `swap_remove` / `clear`, so bulk load,
-//! persistence and incremental inserts all get them for free. Both keep
-//! the rows' own coordinate order:
+//! Next to the canonical f64 rows the arena can hold two cheap mirrors
+//! for the f32 and q8 scan tiers. They are a cache, built on first use:
+//! the first call to any mirror accessor ([`VectorArena::as_flat_f32`],
+//! [`VectorArena::f32_radius`], [`VectorArena::as_codes`],
+//! [`VectorArena::q8_grid`], [`VectorArena::q8_weights`],
+//! [`VectorArena::q8_radius`], [`VectorArena::quantize_query`]) builds
+//! both from the rows in O(len·dim), and [`VectorArena::push`],
+//! `swap_remove` and `clear` drop them. An arena that only the f64 tier
+//! reads never allocates them. Both keep the rows' own coordinate order:
 //!
 //! * an **f32 mirror** (same row-major layout, each coordinate cast), with
 //!   [`VectorArena::f32_radius`] — the largest certified displacement
@@ -39,44 +43,48 @@
 //! The mirrors never answer anything on their own; the two-phase leaf
 //! scan uses them with the certified lower-bound helpers in
 //! `parsim_geometry::kernel` and re-ranks every surviving row with the
-//! f64 kernels. The radii are deliberately maintained as *overestimates*
-//! (a `swap_remove` keeps the old maximum, a grid widened by requantize
-//! keeps its new radius): a too-large radius only weakens pruning, never
-//! correctness.
+//! f64 kernels. The radii are *overestimates*: a too-large radius only
+//! weakens pruning, never correctness.
 //!
-//! # Building a block
-//!
-//! [`VectorArena::push`] is the incremental path. A pushed row that falls
-//! outside the current q8 grid widens it and re-encodes the *whole* block,
-//! O(len·dim) per push. Early in a block almost every row widens some lane,
-//! so filling an arena push by push costs close to O(len²·dim). Callers
-//! that have all rows at hand use [`VectorArena::from_rows`], which builds
-//! the identical state in one pass. For 10⁴ clustered rows at d = 48 on a
-//! 2-CPU x86-64 host that is 1.2 µs per row against 53 µs for pushing
-//! (`arena_build` in the `distance_kernels` bench).
+//! The build is a deterministic function of the rows in storage order,
+//! so the mirrors are the same whether the block was built by
+//! [`VectorArena::from_rows`] or push by push, and after a `swap_remove`
+//! they are exact for the surviving rows. It widens the grids row by row,
+//! folding in only a row that falls outside them so far (which can
+//! decide the sign of a zero bound), so a block's grids and codes are the
+//! ones an incremental fill gives.
+
+use std::sync::OnceLock;
 
 use parsim_geometry::kernel::{
     displacement_norm_f32, displacement_norm_q8w, displacement_norm_q8w_query, Q8W_CODE_CAP,
 };
 
 /// A row-major block of `len()` vectors of `dim` coordinates each, plus
-/// f32 and q8 mirrors for the cheap scan tiers (see the module docs).
+/// f32 and q8 mirrors for the cheap scan tiers, built on first use (see
+/// the module docs).
 #[derive(Clone, Debug)]
 pub struct VectorArena {
     dim: usize,
     /// Canonical rows.
     data: Vec<f64>,
+    /// The cheap-tier mirrors of `data`, built by the first accessor that
+    /// needs them and dropped by every write. Boxed so that an arena
+    /// without them stays small.
+    mirrors: OnceLock<Box<Mirrors>>,
+}
+
+/// The f32 and q8 views of an arena's rows.
+#[derive(Clone, Debug)]
+struct Mirrors {
     /// Row-major f32 casts of the rows.
     mirror32: Vec<f32>,
     /// Max over rows of the certified displacement `‖row − row₃₂‖₂`.
     r32: f64,
     /// Row-major u8 codes of the rows on the per-lane grids.
     codes: Vec<u8>,
-    /// Per-lane grid origin (lane minimum at last requantize); empty while
-    /// the block is.
+    /// Per-lane grid origin (lane minimum); empty while the block is.
     qmin: Vec<f64>,
-    /// Per-lane maximum at last requantize.
-    qmax: Vec<f64>,
     /// Per-lane grid step `(qmax − qmin) / 255`; `0` for constant lanes.
     qscale: Vec<f64>,
     /// Per-lane squared step (the weight vector of the q8w kernels).
@@ -86,10 +94,8 @@ pub struct VectorArena {
 }
 
 /// Two arenas are equal when they hold the same rows. The mirrors are
-/// excluded on purpose: they are derived caches whose
-/// exact radii and grids depend on the *history* of pushes and removals
-/// (overestimates are kept across `swap_remove`), so two arenas with
-/// identical contents built along different paths still compare equal.
+/// excluded on purpose: they are a derived cache that one arena may have
+/// built and the other not.
 impl PartialEq for VectorArena {
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim && self.data == other.data
@@ -104,6 +110,101 @@ fn encode(v: f64, qmin: f64, qscale: f64) -> u8 {
         ((v - qmin) / qscale).round().clamp(0.0, 255.0) as u8
     } else {
         0
+    }
+}
+
+impl Mirrors {
+    /// Builds both mirrors of the row-major `data` in one pass each.
+    fn build(dim: usize, data: &[f64]) -> Self {
+        let mut mirror32 = Vec::with_capacity(data.len());
+        let mut r32 = 0.0f64;
+        for row in data.chunks_exact(dim) {
+            let start = mirror32.len();
+            mirror32.extend(row.iter().map(|&v| v as f32));
+            r32 = r32.max(displacement_norm_f32(row, &mirror32[start..]));
+        }
+        let mut m = Mirrors {
+            mirror32,
+            r32,
+            codes: Vec::new(),
+            qmin: Vec::new(),
+            qscale: Vec::new(),
+            wq8: Vec::new(),
+            rq8: 0.0,
+        };
+        if data.is_empty() {
+            return m;
+        }
+        // Widen the grids row by row: only a row that falls outside the
+        // current grids widens them, and the last widening row is where
+        // they were last set.
+        let mut qmin = vec![f64::INFINITY; dim];
+        let mut qmax = vec![f64::NEG_INFINITY; dim];
+        let mut last_widened = 0;
+        for (i, row) in data.chunks_exact(dim).enumerate() {
+            let fits = row
+                .iter()
+                .zip(qmin.iter().zip(&qmax))
+                .all(|(&v, (&lo, &hi))| v >= lo && v <= hi);
+            if !fits {
+                for (j, &v) in row.iter().enumerate() {
+                    qmin[j] = qmin[j].min(v);
+                    qmax[j] = qmax[j].max(v);
+                }
+                last_widened = i;
+            }
+        }
+        m.qscale = qmin
+            .iter()
+            .zip(&qmax)
+            .map(|(&lo, &hi)| if hi > lo { (hi - lo) / 255.0 } else { 0.0 })
+            .collect();
+        m.wq8 = m.qscale.iter().map(|&s| s * s).collect();
+        m.qmin = qmin;
+        if m.qscale.iter().any(|s| !s.is_finite()) {
+            // Range overflow (coords near ±f64::MAX): no usable grid, and
+            // an infinite radius so the q8 tier certifies nothing for this
+            // block. The rows up to the last widening one keep placeholder
+            // codes; the rows after it are encoded on the lanes that have
+            // a finite step, as an incremental fill encodes them.
+            m.codes = vec![0; data.len()];
+            m.rq8 = f64::INFINITY;
+            for (row, out) in data
+                .chunks_exact(dim)
+                .zip(m.codes.chunks_exact_mut(dim))
+                .skip(last_widened + 1)
+            {
+                for (j, (c, &v)) in out.iter_mut().zip(row).enumerate() {
+                    *c = encode(v, m.qmin[j], m.qscale[j]);
+                }
+            }
+            return m;
+        }
+        m.codes.reserve_exact(data.len());
+        for row in data.chunks_exact(dim) {
+            let start = m.codes.len();
+            m.codes.extend(
+                row.iter()
+                    .enumerate()
+                    .map(|(j, &v)| encode(v, m.qmin[j], m.qscale[j])),
+            );
+            m.rq8 = m.rq8.max(displacement_norm_q8w(
+                row,
+                &m.codes[start..],
+                &m.qmin,
+                &m.qscale,
+            ));
+        }
+        m
+    }
+
+    /// The per-lane grids when usable for certified pruning.
+    fn q8_grid(&self) -> Option<(&[f64], &[f64])> {
+        if !self.qscale.is_empty() && self.qscale.iter().all(|s| s.is_finite()) {
+            Some((&self.qmin, &self.qscale))
+        } else {
+            None
+        }
     }
 }
 
@@ -123,14 +224,7 @@ impl VectorArena {
         VectorArena {
             dim,
             data: Vec::with_capacity(dim * rows),
-            mirror32: Vec::with_capacity(dim * rows),
-            r32: 0.0,
-            codes: Vec::with_capacity(dim * rows),
-            qmin: Vec::new(),
-            qmax: Vec::new(),
-            qscale: Vec::new(),
-            wq8: Vec::new(),
-            rq8: 0.0,
+            mirrors: OnceLock::new(),
         }
     }
 
@@ -152,7 +246,7 @@ impl VectorArena {
         self.data.is_empty()
     }
 
-    /// Appends one row and updates both mirrors.
+    /// Appends one row and drops the mirrors.
     ///
     /// # Panics
     ///
@@ -161,53 +255,13 @@ impl VectorArena {
     pub fn push(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "row dimension mismatch");
         self.data.extend_from_slice(row);
-        // f32 mirror: cast the row, fold its displacement into the radius.
-        let start32 = self.mirror32.len();
-        self.mirror32.extend(row.iter().map(|&v| v as f32));
-        self.r32 = self
-            .r32
-            .max(displacement_norm_f32(row, &self.mirror32[start32..]));
-        // q8 mirror: encode on the current per-lane grids when every lane
-        // fits, otherwise widen the grids and requantize the whole block.
-        let fits = !self.qmin.is_empty()
-            && row
-                .iter()
-                .zip(self.qmin.iter().zip(&self.qmax))
-                .all(|(&v, (&lo, &hi))| v >= lo && v <= hi);
-        if fits {
-            let startq = self.codes.len();
-            self.codes.extend(
-                row.iter()
-                    .enumerate()
-                    .map(|(j, &v)| encode(v, self.qmin[j], self.qscale[j])),
-            );
-            self.rq8 = self.rq8.max(displacement_norm_q8w(
-                row,
-                &self.codes[startq..],
-                &self.qmin,
-                &self.qscale,
-            ));
-        } else {
-            if self.qmin.is_empty() {
-                self.qmin = vec![f64::INFINITY; self.dim];
-                self.qmax = vec![f64::NEG_INFINITY; self.dim];
-            }
-            for (j, &v) in row.iter().enumerate() {
-                self.qmin[j] = self.qmin[j].min(v);
-                self.qmax[j] = self.qmax[j].max(v);
-            }
-            self.requantize();
-        }
+        self.mirrors.take();
     }
 
-    /// Builds an arena from `rows` in one pass:
-    /// the rows are copied, then the f32 mirror, the per-lane q8 grids, the
-    /// codes and both radii are computed once. The result is bit-for-bit
-    /// the arena that [`VectorArena::push`]ing the same rows one at a time,
-    /// in the same order, produces, at O(len·dim) instead of one
-    /// O(len·dim) requantize per grid-widening push. Every bulk caller
-    /// (leaf blocks of bulk load, reorganize, persisted-tree load and
-    /// splits) builds its block here.
+    /// Builds an arena from `rows` in one pass. The mirrors are built on
+    /// first use, as for any arena. Every bulk caller (leaf blocks of bulk
+    /// load, reorganize, persisted-tree load and splits) builds its block
+    /// here.
     ///
     /// # Panics
     ///
@@ -219,97 +273,22 @@ impl VectorArena {
             assert_eq!(row.len(), dim, "row dimension mismatch");
             arena.data.extend_from_slice(row);
         }
-        for row in arena.data.chunks_exact(dim) {
-            let start = arena.mirror32.len();
-            arena.mirror32.extend(row.iter().map(|&v| v as f32));
-            let r = displacement_norm_f32(row, &arena.mirror32[start..]);
-            arena.r32 = arena.r32.max(r);
-        }
-        if arena.data.is_empty() {
-            return arena;
-        }
-        // Replay the grid evolution of `push`: only a row that falls
-        // outside the current grids widens them (a row that fits is never
-        // folded in, which can decide the sign of a zero bound), and the
-        // last widening row is where `push` last requantized.
-        let mut qmin = vec![f64::INFINITY; dim];
-        let mut qmax = vec![f64::NEG_INFINITY; dim];
-        let mut last_widened = 0;
-        for (i, row) in arena.data.chunks_exact(dim).enumerate() {
-            let fits = row
-                .iter()
-                .zip(qmin.iter().zip(&qmax))
-                .all(|(&v, (&lo, &hi))| v >= lo && v <= hi);
-            if !fits {
-                for (j, &v) in row.iter().enumerate() {
-                    qmin[j] = qmin[j].min(v);
-                    qmax[j] = qmax[j].max(v);
-                }
-                last_widened = i;
-            }
-        }
-        arena.qmin = qmin;
-        arena.qmax = qmax;
-        arena.requantize();
-        if arena.q8_grid().is_none() {
-            // An overflowed grid leaves placeholder codes at requantize,
-            // but `push` still encodes the rows that fit it afterwards.
-            let (data, codes) = (&arena.data, &mut arena.codes);
-            for (row, out) in data
-                .chunks_exact(dim)
-                .zip(codes.chunks_exact_mut(dim))
-                .skip(last_widened + 1)
-            {
-                for (j, (c, &v)) in out.iter_mut().zip(row).enumerate() {
-                    *c = encode(v, arena.qmin[j], arena.qscale[j]);
-                }
-            }
-        }
         arena
     }
 
-    /// Rebuilds the whole q8 mirror on the current per-lane `[qmin, qmax]`
-    /// ranges.
-    fn requantize(&mut self) {
-        self.qscale.clear();
-        self.qscale
-            .extend(self.qmin.iter().zip(&self.qmax).map(|(&lo, &hi)| {
-                if hi > lo {
-                    (hi - lo) / 255.0
-                } else {
-                    0.0
-                }
-            }));
-        self.wq8.clear();
-        self.wq8.extend(self.qscale.iter().map(|&s| s * s));
-        if self.qscale.iter().any(|s| !s.is_finite()) {
-            // Range overflow (coords near ±f64::MAX): no usable grid. Keep
-            // placeholder codes and an infinite radius so the q8 tier
-            // certifies nothing for this block.
-            self.codes.clear();
-            self.codes.resize(self.data.len(), 0);
-            self.rq8 = f64::INFINITY;
-            return;
-        }
-        let mut codes = std::mem::take(&mut self.codes);
-        codes.clear();
-        let mut r = 0.0f64;
-        for row in self.data.chunks_exact(self.dim) {
-            let start = codes.len();
-            codes.extend(
-                row.iter()
-                    .enumerate()
-                    .map(|(j, &v)| encode(v, self.qmin[j], self.qscale[j])),
-            );
-            r = r.max(displacement_norm_q8w(
-                row,
-                &codes[start..],
-                &self.qmin,
-                &self.qscale,
-            ));
-        }
-        self.codes = codes;
-        self.rq8 = r;
+    /// The mirrors, built now if this is their first use since the last
+    /// write.
+    #[inline]
+    fn mirrors(&self) -> &Mirrors {
+        self.mirrors
+            .get_or_init(|| Box::new(Mirrors::build(self.dim, &self.data)))
+    }
+
+    /// True if the cheap-tier mirrors are currently built, i.e. a mirror
+    /// accessor has run since the last write. Reading it builds nothing.
+    #[inline]
+    pub fn mirrors_built(&self) -> bool {
+        self.mirrors.get().is_some()
     }
 
     /// The `i`-th row.
@@ -332,21 +311,20 @@ impl VectorArena {
     /// The f32 mirror as one flat row-major slice.
     #[inline]
     pub fn as_flat_f32(&self) -> &[f32] {
-        &self.mirror32
+        &self.mirrors().mirror32
     }
 
     /// Certified overestimate of `max_rows ‖row − row₃₂‖₂` — the `r_x`
-    /// input of the f32 lower-bound helpers. May be stale-high after
-    /// removals (overestimates are always safe).
+    /// input of the f32 lower-bound helpers.
     #[inline]
     pub fn f32_radius(&self) -> f64 {
-        self.r32
+        self.mirrors().r32
     }
 
     /// The q8 code mirror as one flat row-major slice.
     #[inline]
     pub fn as_codes(&self) -> &[u8] {
-        &self.codes
+        &self.mirrors().codes
     }
 
     /// The per-lane q8 grids `(mins, scales)` when they
@@ -356,11 +334,7 @@ impl VectorArena {
     /// exactly. Callers must scan degenerate blocks on the f64 path.
     #[inline]
     pub fn q8_grid(&self) -> Option<(&[f64], &[f64])> {
-        if !self.qscale.is_empty() && self.qscale.iter().all(|s| s.is_finite()) {
-            Some((&self.qmin, &self.qscale))
-        } else {
-            None
-        }
+        self.mirrors().q8_grid()
     }
 
     /// The per-lane squared grid steps — the weight vector of the
@@ -368,14 +342,14 @@ impl VectorArena {
     /// `Some`.
     #[inline]
     pub fn q8_weights(&self) -> &[f64] {
-        &self.wq8
+        &self.mirrors().wq8
     }
 
     /// Certified overestimate of `max_rows ‖row − roŵ‖₂` over the q8
     /// reconstructions — the `r_x` input of the q8 lower-bound helpers.
     #[inline]
     pub fn q8_radius(&self) -> f64 {
-        self.rq8
+        self.mirrors().rq8
     }
 
     /// Quantizes a query onto this block's per-lane grids, writing
@@ -395,7 +369,8 @@ impl VectorArena {
     /// Panics if `query.len() != self.dim()`.
     pub fn quantize_query(&self, query: &[f64], out: &mut Vec<i32>) -> f64 {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        debug_assert!(self.q8_grid().is_some(), "degenerate q8 grid");
+        let m = self.mirrors();
+        debug_assert!(m.q8_grid().is_some(), "degenerate q8 grid");
         let qencode = |v: f64, lo: f64, scale: f64| -> i32 {
             if scale > 0.0 {
                 ((v - lo) / scale)
@@ -410,9 +385,9 @@ impl VectorArena {
             query
                 .iter()
                 .enumerate()
-                .map(|(j, &v)| qencode(v, self.qmin[j], self.qscale[j])),
+                .map(|(j, &v)| qencode(v, m.qmin[j], m.qscale[j])),
         );
-        displacement_norm_q8w_query(query, out, &self.qmin, &self.qscale)
+        displacement_norm_q8w_query(query, out, &m.qmin, &m.qscale)
     }
 
     /// Iterates over the rows in order.
@@ -422,7 +397,8 @@ impl VectorArena {
     }
 
     /// Removes row `i` by moving the last row into its slot (O(dim), does
-    /// not preserve order) — mirrors `Vec::swap_remove`.
+    /// not preserve order) — mirrors `Vec::swap_remove` — and drops the
+    /// mirrors.
     ///
     /// # Panics
     ///
@@ -431,30 +407,18 @@ impl VectorArena {
         let last = self.len() - 1;
         assert!(i <= last, "row index out of bounds");
         if i < last {
-            for c in 0..self.dim {
-                self.data[i * self.dim + c] = self.data[last * self.dim + c];
-                self.mirror32[i * self.dim + c] = self.mirror32[last * self.dim + c];
-                self.codes[i * self.dim + c] = self.codes[last * self.dim + c];
-            }
+            self.data
+                .copy_within(last * self.dim..(last + 1) * self.dim, i * self.dim);
         }
         self.data.truncate(last * self.dim);
-        self.mirror32.truncate(last * self.dim);
-        self.codes.truncate(last * self.dim);
-        // The radii and the grids stay: they remain valid
-        // for the surviving rows (shrinking them would require a rescan).
+        self.mirrors.take();
     }
 
-    /// Removes all rows, keeping the allocation and the dimension.
+    /// Removes all rows, keeping the allocation and the dimension, and
+    /// drops the mirrors.
     pub fn clear(&mut self) {
         self.data.clear();
-        self.mirror32.clear();
-        self.r32 = 0.0;
-        self.codes.clear();
-        self.qmin.clear();
-        self.qmax.clear();
-        self.qscale.clear();
-        self.wq8.clear();
-        self.rq8 = 0.0;
+        self.mirrors.take();
     }
 }
 
@@ -675,6 +639,120 @@ mod tests {
         assert_eq!(a.f32_radius(), 0.0);
         assert_eq!(a.q8_radius(), 0.0);
         assert!(a.q8_grid().is_none());
+    }
+
+    /// Every mirror view of an arena, as bit patterns.
+    #[derive(Debug, PartialEq)]
+    struct MirrorBits {
+        flat_f32: Vec<u32>,
+        f32_radius: u64,
+        codes: Vec<u8>,
+        q8_grid: Option<(Vec<u64>, Vec<u64>)>,
+        q8_weights: Vec<u64>,
+        q8_radius: u64,
+    }
+
+    fn mirror_bits(a: &VectorArena) -> MirrorBits {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        MirrorBits {
+            flat_f32: a.as_flat_f32().iter().map(|x| x.to_bits()).collect(),
+            f32_radius: a.f32_radius().to_bits(),
+            codes: a.as_codes().to_vec(),
+            q8_grid: a.q8_grid().map(|(mins, scales)| (bits(mins), bits(scales))),
+            q8_weights: bits(a.q8_weights()),
+            q8_radius: a.q8_radius().to_bits(),
+        }
+    }
+
+    fn rows() -> Vec<Vec<f64>> {
+        (0..9)
+            .map(|i| {
+                let x = i as f64;
+                vec![x * 0.37 - 1.0, (x * 1.3).sin(), 5.0 - x * x * 0.1]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mirrors_wait_for_their_first_accessor() {
+        let rows = rows();
+        let bulk = || VectorArena::from_rows(3, rows.iter().map(Vec::as_slice));
+        let pushed = || {
+            let mut a = VectorArena::new(3);
+            for row in &rows {
+                a.push(row);
+            }
+            a
+        };
+        let empty = || VectorArena::new(3);
+        let accessors: [fn(&VectorArena); 7] = [
+            |a| {
+                a.as_flat_f32();
+            },
+            |a| {
+                a.f32_radius();
+            },
+            |a| {
+                a.as_codes();
+            },
+            |a| {
+                a.q8_grid();
+            },
+            |a| {
+                a.q8_weights();
+            },
+            |a| {
+                a.q8_radius();
+            },
+            |a| {
+                if a.q8_grid().is_some() {
+                    a.quantize_query(&[0.0; 3], &mut Vec::new());
+                } else {
+                    a.q8_radius();
+                }
+            },
+        ];
+        for make in [&bulk as &dyn Fn() -> VectorArena, &pushed, &empty] {
+            for access in accessors {
+                let a = make();
+                // The f64 views never build the mirrors.
+                let _ = (a.as_flat(), a.iter().count(), a.len());
+                if !a.is_empty() {
+                    let _ = a.row(0);
+                }
+                assert!(!a.mirrors_built());
+                access(&a);
+                assert!(a.mirrors_built());
+            }
+        }
+    }
+
+    #[test]
+    fn every_write_drops_the_mirrors() {
+        let mut a = VectorArena::from_rows(3, rows().iter().map(Vec::as_slice));
+        a.q8_radius();
+        a.push(&[0.0, 0.0, 0.0]);
+        assert!(!a.mirrors_built());
+        a.q8_radius();
+        a.swap_remove(2);
+        assert!(!a.mirrors_built());
+        a.q8_radius();
+        a.clear();
+        assert!(!a.mirrors_built());
+        // Rebuilt on an empty block: the views of an arena never pushed.
+        assert_eq!(mirror_bits(&a), mirror_bits(&VectorArena::new(3)));
+    }
+
+    #[test]
+    fn mirrors_after_swap_remove_are_those_of_the_surviving_rows() {
+        let mut a = VectorArena::from_rows(3, rows().iter().map(Vec::as_slice));
+        a.q8_radius();
+        // Remove the rows that set the grids: the block's extremes.
+        for i in [0, 6, 2] {
+            a.swap_remove(i);
+            let fresh = VectorArena::from_rows(3, a.iter());
+            assert_eq!(mirror_bits(&a), mirror_bits(&fresh));
+        }
     }
 
     #[test]
